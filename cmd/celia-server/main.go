@@ -55,7 +55,6 @@ func main() {
 		queue    = flag.Int("queue-depth", 0, "admitted requests waiting beyond the worker pool (0 = 4x max-concurrent, -1 = none)")
 		reqTO    = flag.Duration("request-timeout", 60*time.Second, "per-request deadline from admission to completion")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight requests")
-		index    = flag.Bool("index", true, "answer analytic queries from the frontier index (built lazily per engine; serves per-second and per-hour billing alike)")
 		billing  = flag.String("billing", "persecond", "billing policy for every mounted engine: persecond (Eq. 5 verbatim), perhour (2017-era started-hour billing)")
 		snapDir  = flag.String("snapshot-dir", "", "directory of frontier-index snapshots: restored at startup (skipping the multi-second build) and rewritten after background rebuilds; empty disables persistence")
 	)
@@ -120,13 +119,12 @@ func main() {
 		MaxConcurrent:  *maxConc,
 		QueueDepth:     *queue,
 		RequestTimeout: *reqTO,
-		DisableIndex:   !*index,
 		SnapshotDir:    *snapDir,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *snapDir != "" && *index {
+	if *snapDir != "" {
 		// Missing/corrupt/stale artifacts are not fatal: the app serves
 		// from the exhaustive scan in declared degraded mode while a
 		// panic-isolated background rebuild restores the index and
@@ -138,16 +136,14 @@ func main() {
 			log.Printf("index %s: %s%s", app, st.State, suffixReason(st.Reason))
 		}
 	}
-	if *index {
-		// The frontdoor opted every engine in above; a non-empty reason
-		// here means analytic queries will scan anyway (an uncertified
-		// billing policy, or a catalog past the pair cap). One line per
-		// engine, also exported at GET /v1/apps.
-		for _, name := range fd.Apps() {
-			eng, _ := fd.Engine(name)
-			if reason := eng.IndexBypassReason(); reason != "" {
-				log.Printf("warning: frontier index bypassed for %s: %s", name, reason)
-			}
+	// Engines answer from the frontier index by default; a non-empty
+	// reason here means analytic queries will scan instead (an
+	// uncertified billing policy, or a catalog past the pair cap). One
+	// line per engine, also exported at GET /v1/apps.
+	for _, name := range fd.Apps() {
+		eng, _ := fd.Engine(name)
+		if reason := eng.IndexBypassReason(); reason != "" {
+			log.Printf("warning: frontier index bypassed for %s: %s", name, reason)
 		}
 	}
 	srv, err := api.NewServer(fd, api.WithApps(cli.Apps()))
@@ -170,8 +166,8 @@ func main() {
 
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
-	log.Printf("serving %d engines on %s (cache %d MiB, ttl %v, %d workers, index %v)",
-		len(engines), *addr, *cacheMB, *cacheTTL, *maxConc, *index)
+	log.Printf("serving %d engines on %s (cache %d MiB, ttl %v, %d workers)",
+		len(engines), *addr, *cacheMB, *cacheTTL, *maxConc)
 
 	select {
 	case err := <-done:

@@ -26,24 +26,15 @@ import (
 	"repro/internal/workload"
 )
 
-var (
-	csvOut   bool
-	useIndex bool
-)
+var csvOut bool
 
-// newEngine builds a paper engine, opted into the frontier index unless
-// -index=false: the sweeps re-solve the same catalog under dozens of
-// (demand, deadline) pairs, exactly the workload the demand-invariant
-// index amortizes. The index matches the exhaustive scan bit-for-bit;
-// -index=false falls back to the decomposed search, which can name a
-// different (never cheaper) representative when costs tie within an ulp.
+// newEngine builds a paper engine. The sweeps re-solve the same catalog
+// under dozens of (demand, deadline) pairs, exactly the workload the
+// engine's demand-invariant frontier index amortizes.
 func newEngine(app workload.App) *core.Engine {
 	eng := core.NewPaperEngine(app)
-	eng.SetUseIndex(useIndex)
-	if useIndex {
-		if reason := eng.IndexBypassReason(); reason != "" {
-			log.Printf("warning: frontier index bypassed for %s: %s", app.Name(), reason)
-		}
+	if reason := eng.IndexBypassReason(); reason != "" {
+		log.Printf("warning: frontier index bypassed for %s: %s", app.Name(), reason)
 	}
 	return eng
 }
@@ -53,7 +44,6 @@ func main() {
 	log.SetPrefix("celia-sweep: ")
 	exp := flag.String("exp", "fig4", "experiment: fig4, fig5, fig6, obs3")
 	flag.BoolVar(&csvOut, "csv", false, "emit CSV instead of aligned tables")
-	flag.BoolVar(&useIndex, "index", true, "answer sweep queries from the frontier index (one build per engine)")
 	flag.Parse()
 
 	switch *exp {

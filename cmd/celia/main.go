@@ -45,6 +45,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// One census per run: a single exhaustive scan is cheaper than the
+	// frontier-index build it would amortize, and returns the same
+	// Analysis bit for bit.
+	eng.SetUseIndex(false)
 	p := workload.Params{N: *n, A: *a}
 	cons := core.Constraints{Deadline: units.FromHours(*deadline), Budget: units.USD(*budget)}
 	res, err := sweep.Census(eng, p, cons.Deadline, cons.Budget, *sample)

@@ -42,7 +42,6 @@ func main() {
 		float64(trace.Horizon().InHours()), trace.Hash())
 
 	engine := core.NewPaperEngine(galaxy.App{})
-	engine.SetUseIndex(true)
 
 	for _, billing := range []model.Billing{model.PerSecond, model.PerHour} {
 		engine.SetBilling(billing)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/apps/x264"
 	"repro/internal/cloudsim"
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/model"
 	"repro/internal/profile"
 	"repro/internal/spot"
@@ -45,6 +46,9 @@ func TestEndToEndPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: pipeline: %v", c.app.Name(), err)
 		}
+		// One selection per measured engine: the exhaustive scan answers
+		// it exactly, without a frontier-index build it would not amortize.
+		eng.SetUseIndex(false)
 		if dr.Fit.Model.R2 < 0.999 {
 			t.Errorf("%s: weak fit R²=%v", c.app.Name(), dr.Fit.Model.R2)
 		}
@@ -89,7 +93,10 @@ func TestGroundTruthVsMeasuredEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := core.NewPaperEngine(galaxy.App{})
+	// Three queries on the measured engine: the scan answers them
+	// exactly for less than an index build.
+	measured.SetUseIndex(false)
+	truth := coretest.PaperEngine(galaxy.App{})
 	p := workload.Params{N: 65536, A: 8000}
 	for _, h := range []float64{12, 24, 48} {
 		mt, okM, err := measured.MinCostForDeadline(p, units.FromHours(h))
@@ -119,7 +126,7 @@ func TestGroundTruthVsMeasuredEngines(t *testing.T) {
 // frontier configurations on the simulator preserves their time
 // ordering.
 func TestSelectorAgainstSimulatorFrontier(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.PaperEngine(galaxy.App{})
 	p := workload.Params{N: 16384, A: 1000}
 	an, err := eng.Analyze(p, core.Constraints{Deadline: units.FromHours(24), Budget: 50}, core.Options{})
 	if err != nil {
@@ -148,7 +155,7 @@ func TestSelectorAgainstSimulatorFrontier(t *testing.T) {
 // top of one frontier: uncertainty-aware robust selection and the
 // spot-market recommendation.
 func TestRobustAndSpotComposition(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.PaperEngine(galaxy.App{})
 	p := workload.Params{N: 65536, A: 8000}
 	deadline := units.FromHours(24)
 
@@ -185,7 +192,7 @@ func TestRobustAndSpotComposition(t *testing.T) {
 // TestBillingConsistencyAcrossLayers: the engine's hourly billing and
 // model.Bill must agree everywhere.
 func TestBillingConsistencyAcrossLayers(t *testing.T) {
-	eng := core.NewPaperEngine(sand.App{})
+	eng := coretest.PaperEngine(sand.App{})
 	eng.SetBilling(model.PerHour)
 	p := workload.Params{N: 2048e6, A: 0.32}
 	pred, ok, err := eng.MinCostForDeadline(p, units.FromHours(48))

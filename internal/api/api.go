@@ -36,7 +36,7 @@
 //     the app is in the declared degraded state (index unavailable,
 //     serving from the exhaustive scan until the background rebuild
 //     lands). Scan-backed answers distinguish why: "off-config" when
-//     the engine was deliberately opted out, "off-billing" when the
+//     the engine is scan-only, "off-billing" when the
 //     billing policy is not certified index-monotone, "off-pair-cap"
 //     when the catalog did not compress under the pair cap, and plain
 //     "off" for Monte-Carlo kinds and before the lazy index build.
@@ -323,7 +323,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, q serving.Query, 
 // or rebuilding state and the response came from the exhaustive scan.
 // Scan-backed answers carry the bypass cause as a suffix —
 // "off-config", "off-billing", "off-pair-cap" — so a dashboard can
-// tell a deliberate opt-out from a capability gap; plain "off" covers
+// tell a scan-only engine from a capability gap; plain "off" covers
 // non-analytic kinds and the pre-build window.
 func (s *Server) indexHeader(q serving.Query) string {
 	eng, ok := s.fd.Engine(q.App)

@@ -19,8 +19,8 @@ import (
 	"repro/internal/workload"
 )
 
-// sharedEngines is reused across tests: NewFrontdoor opts engines into
-// the frontier index, and sharing lets the whole package pay each lazy
+// sharedEngines is reused across tests: engines answer from the
+// frontier index, and sharing lets the whole package pay each lazy
 // index build once rather than once per test — the builds dominate the
 // suite under -race otherwise. Tests needing cold or scan-backed
 // engines construct their own (see TestOverloadReturns429).
@@ -123,9 +123,9 @@ func TestMinCostEndpoint(t *testing.T) {
 		t.Fatalf("response = %+v", resp)
 	}
 	// The exhaustive tie winner for the paper's spill scenario: the
-	// frontier index (certified against MinCostExhaustive) finds this
-	// family split one ulp cheaper than the decomposed search's
-	// [5 5 5 3 ...] — see the golden-index test in internal/core.
+	// paper's [5 5 5 3 ...] machine mix, spelled as the family split
+	// that rounds one ulp cheaper — see the golden-index test in
+	// internal/core.
 	want := []int{5, 5, 5, 1, 1, 0, 0, 0, 0}
 	for i, c := range want {
 		if resp.Best.Config[i] != c {
@@ -326,9 +326,9 @@ func TestOverloadReturns429(t *testing.T) {
 	// reliably hold the only slot, and the shared engines may already
 	// serve analyze from their index in milliseconds.
 	fd, err := serving.NewFrontdoor(map[string]*core.Engine{
-		"galaxy": core.NewPaperEngine(galaxy.App{}),
+		"galaxy": scanOnlyEngine(),
 	}, serving.Config{
-		MaxConcurrent: 1, QueueDepth: -1, CacheBytes: -1, DisableIndex: true,
+		MaxConcurrent: 1, QueueDepth: -1, CacheBytes: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -539,9 +539,9 @@ func TestReadyzFlipsWhileDraining(t *testing.T) {
 }
 
 // TestIndexHeader asserts the X-Index contract: analytic queries on an
-// index-opted engine answer "on" once the lazy build has run —
+// indexed engine answer "on" once the lazy build has run —
 // including on cache hits, which must not trigger a build — while a
-// DisableIndex frontdoor stays scan-backed and answers "off-config".
+// scan-only engine stays scan-backed and answers "off-config".
 func TestIndexHeader(t *testing.T) {
 	ts := newTestServer(t)
 	body := []byte(`{"app":"galaxy","n":65536,"a":8000,"deadline_hours":24}`)
@@ -565,8 +565,8 @@ func TestIndexHeader(t *testing.T) {
 	}
 
 	fd, err := serving.NewFrontdoor(map[string]*core.Engine{
-		"galaxy": core.NewPaperEngine(galaxy.App{}),
-	}, serving.Config{DisableIndex: true})
+		"galaxy": scanOnlyEngine(),
+	}, serving.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,17 +577,17 @@ func TestIndexHeader(t *testing.T) {
 	scanTS := httptest.NewServer(s)
 	t.Cleanup(scanTS.Close)
 	if idx, _ := post(scanTS.URL); idx != "off-config" {
-		t.Fatalf("X-Index = %q with the index disabled, want off-config", idx)
+		t.Fatalf("X-Index = %q from a scan-only engine, want off-config", idx)
 	}
 	if got := fd.Metrics().Counter("serving.index.bypass").Value(); got < 1 {
 		t.Fatalf("serving.index.bypass = %d after a scan-backed compute", got)
 	}
 	if got := fd.Metrics().Counter("serving.index.bypass_billing").Value(); got != 0 {
-		t.Fatalf("serving.index.bypass_billing = %d for a config opt-out, want 0", got)
+		t.Fatalf("serving.index.bypass_billing = %d for a scan-only engine, want 0", got)
 	}
 
 	// An uncertified billing policy surfaces as a capability gap: the
-	// header distinguishes it from the deliberate opt-out above.
+	// header distinguishes it from the scan-only engine above.
 	bfd, err := serving.NewFrontdoor(map[string]*core.Engine{
 		"galaxy": billingEngine(model.Billing(7)),
 	}, serving.Config{})
@@ -608,11 +608,19 @@ func TestIndexHeader(t *testing.T) {
 	}
 }
 
-// billingEngine builds a paper engine opted into the index but running
-// an arbitrary billing policy.
+// billingEngine builds a default paper engine running an arbitrary
+// billing policy.
 func billingEngine(b model.Billing) *core.Engine {
 	eng := core.NewPaperEngine(galaxy.App{})
 	eng.SetBilling(b)
+	return eng
+}
+
+// scanOnlyEngine builds a paper engine that answers every query with
+// the exhaustive scan.
+func scanOnlyEngine() *core.Engine {
+	eng := core.NewPaperEngine(galaxy.App{})
+	eng.SetUseIndex(false)
 	return eng
 }
 

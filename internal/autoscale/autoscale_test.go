@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/apps/galaxy"
-	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -30,7 +30,7 @@ func TestPolicyValidation(t *testing.T) {
 }
 
 func TestAutoscalerMeetsDeadline(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	p := workload.Params{N: 65536, A: 8000}
 	d, err := eng.Demand(p)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestAutoscalerCostsAtLeastStaticOptimum(t *testing.T) {
 	// The central comparison: reactive scaling cannot beat the
 	// model-chosen static optimum (it discovers the right size by
 	// paying for wrong ones first).
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	p := workload.Params{N: 65536, A: 8000}
 	d, _ := eng.Demand(p)
 	deadline := units.FromHours(24)
@@ -76,7 +76,7 @@ func TestAutoscalerCostsAtLeastStaticOptimum(t *testing.T) {
 }
 
 func TestAutoscalerGrowsMonotonicallyUnderPressure(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	d, _ := eng.Demand(workload.Params{N: 65536, A: 8000})
 	pol := DefaultPolicy()
 	pol.ShrinkBelow = 0 // growth-only mode
@@ -98,7 +98,7 @@ func TestAutoscalerShrinksWhenEarly(t *testing.T) {
 	// A tiny job at a huge deadline: after the first epochs the
 	// projection is comfortably early and the cluster should shrink to
 	// one node at some point.
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	d, _ := eng.Demand(workload.Params{N: 65536, A: 2000})
 	tr, err := Simulate(eng.Capacities(), eng.Space(), d, units.FromHours(72), DefaultPolicy())
 	if err != nil {
@@ -124,7 +124,7 @@ func TestAutoscalerShrinksWhenEarly(t *testing.T) {
 }
 
 func TestAutoscalerImpossibleJob(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	d, _ := eng.Demand(workload.Params{N: 262144, A: 10000})
 	tr, err := Simulate(eng.Capacities(), eng.Space(), d, units.FromHours(2), DefaultPolicy())
 	if err != nil {
@@ -139,7 +139,7 @@ func TestAutoscalerImpossibleJob(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	if _, err := Simulate(eng.Capacities(), eng.Space(), 0, units.FromHours(1), DefaultPolicy()); err == nil {
 		t.Fatal("zero demand accepted")
 	}
@@ -167,7 +167,7 @@ func TestBootConsumingWholeEpoch(t *testing.T) {
 	// Boot == Epoch is the legal extreme: nodes added at a boundary
 	// contribute nothing until the next epoch. The run must still
 	// terminate and can only be slower and costlier than instant boot.
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	d, err := eng.Demand(workload.Params{N: 65536, A: 8000})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestShrinkKeepsAtLeastOneNode(t *testing.T) {
 	// A trivial job against a huge deadline invites shrinking every
 	// epoch; the uWithout > 0 guard must leave the last node running
 	// rather than scaling to an empty cluster that can never finish.
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	d, err := eng.Demand(workload.Params{N: 65536, A: 2000})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestShrinkKeepsAtLeastOneNode(t *testing.T) {
 func TestFinishWithinFirstEpoch(t *testing.T) {
 	// Demand small enough for the starting node: the run ends mid-epoch
 	// and is billed for the actual completion time, not the full epoch.
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	d, err := eng.Demand(workload.Params{N: 16384, A: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestFinishWithinFirstEpoch(t *testing.T) {
 func TestMaxedOutClusterRunsWhatItHas(t *testing.T) {
 	// Demand beyond the whole space at the deadline: the grow loop must
 	// stop at the per-type caps (not spin) and report a missed deadline.
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	d, err := eng.Demand(workload.Params{N: 1048576, A: 20000})
 	if err != nil {
 		t.Fatal(err)

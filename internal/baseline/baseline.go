@@ -1,8 +1,9 @@
 // Package baseline implements alternative configuration-selection
-// algorithms to compare CELIA's exhaustive/decomposed search against,
-// mirroring the related-work approaches the paper cites: integer
-// programming formulations (Kokkinos [13], Sharma [24]) stand in as an
-// exact branch-and-bound over node counts, and the folk heuristic —
+// algorithms to compare CELIA's exact min-cost search (the frontier
+// index, certified against the exhaustive scan) against, mirroring the
+// related-work approaches the paper cites: integer programming
+// formulations (Kokkinos [13], Sharma [24]) stand in as an exact
+// branch-and-bound over node counts, and the folk heuristic —
 // greedily buy the most cost-efficient capacity — as the baseline a
 // practitioner would try first.
 //

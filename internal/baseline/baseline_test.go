@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/apps/galaxy"
 	"repro/internal/config"
-	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/ec2"
 	"repro/internal/model"
 	"repro/internal/units"
@@ -141,8 +141,8 @@ func TestGreedyFeasibleAndBounded(t *testing.T) {
 
 func TestBranchBoundOnPaperProblem(t *testing.T) {
 	// The paper setup: branch-and-bound must agree with CELIA's
-	// decomposed search on the Figure 4 problem.
-	eng := core.NewPaperEngine(galaxy.App{})
+	// MinCostForDeadline on the Figure 4 problem.
+	eng := coretest.ScanEngine(galaxy.App{})
 	p := workload.Params{N: 65536, A: 8000}
 	deadline := units.FromHours(24)
 	d, err := eng.Demand(p)
@@ -163,7 +163,7 @@ func TestBranchBoundOnPaperProblem(t *testing.T) {
 }
 
 func TestGreedyOnPaperProblem(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	p := workload.Params{N: 65536, A: 8000}
 	d, err := eng.Demand(p)
 	if err != nil {
@@ -184,7 +184,7 @@ func TestGreedyOnPaperProblem(t *testing.T) {
 }
 
 func TestInfeasibleInputs(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	d := units.Instructions(1e22) // beyond any capacity at this deadline
 	if _, ok := GreedyMinCost(eng.Capacities(), eng.Space(), d, units.FromHours(1)); ok {
 		t.Fatal("greedy claimed feasibility")

@@ -26,6 +26,7 @@ func benchCons() Constraints {
 
 func BenchmarkAnalyzeScanPaper(b *testing.B) {
 	eng := NewPaperEngine(galaxy.App{})
+	eng.SetUseIndex(false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Analyze(benchParams, benchCons(), Options{}); err != nil {
@@ -36,7 +37,6 @@ func BenchmarkAnalyzeScanPaper(b *testing.B) {
 
 func BenchmarkAnalyzeIndexedPaper(b *testing.B) {
 	eng := NewPaperEngine(galaxy.App{})
-	eng.SetUseIndex(true)
 	if !eng.IndexActive() { // build outside the timed region
 		b.Fatal("index did not build")
 	}
@@ -51,6 +51,7 @@ func BenchmarkAnalyzeIndexedPaper(b *testing.B) {
 func BenchmarkAnalyzePerHourScanPaper(b *testing.B) {
 	eng := NewPaperEngine(galaxy.App{})
 	eng.SetBilling(model.PerHour)
+	eng.SetUseIndex(false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Analyze(benchParams, benchCons(), Options{}); err != nil {
@@ -62,7 +63,6 @@ func BenchmarkAnalyzePerHourScanPaper(b *testing.B) {
 func BenchmarkAnalyzePerHourIndexedPaper(b *testing.B) {
 	eng := NewPaperEngine(galaxy.App{})
 	eng.SetBilling(model.PerHour)
-	eng.SetUseIndex(true)
 	if !eng.IndexActive() { // build outside the timed region
 		b.Fatal("index did not build under per-hour billing")
 	}
@@ -100,7 +100,6 @@ func BenchmarkMinCostScanPaper(b *testing.B) {
 
 func BenchmarkMinCostIndexedPaper(b *testing.B) {
 	eng := NewPaperEngine(galaxy.App{})
-	eng.SetUseIndex(true)
 	if !eng.IndexActive() {
 		b.Fatal("index did not build")
 	}

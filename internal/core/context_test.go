@@ -15,10 +15,9 @@ import (
 	"repro/internal/workload"
 )
 
-// scanOnlyEngine builds a four-category catalog so every argmin query
-// routes through the exhaustive scan (the decomposed merge is shaped
-// for the paper's three categories) — the path cooperative
-// cancellation must cover.
+// scanOnlyEngine builds a small scan-only engine, so every query routes
+// through the exhaustive scan — the path cooperative cancellation must
+// cover.
 func scanOnlyEngine(t *testing.T) *Engine {
 	t.Helper()
 	var types []ec2.InstanceType
@@ -53,6 +52,7 @@ func scanOnlyEngine(t *testing.T) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.SetUseIndex(false)
 	return eng
 }
 

@@ -7,20 +7,14 @@
 // deadline, minimum time within a budget, maximum accuracy within
 // both).
 //
-// Two search strategies are provided and proven equivalent by tests:
-//
-//   - Exhaustive: a parallel streaming scan of all S configurations
-//     (Eq. 1), exactly Algorithm 1. Guarantees every optimum, at ~10
-//     million model evaluations for the paper's space.
-//
-//   - Decomposed: per-category enumeration. Capacity (Eq. 3) and unit
-//     cost (Eq. 6) are additive across resource types, so any dominated
-//     within-category combination (another combination with no more
-//     cost and no less capacity) can be swapped out of a solution
-//     without losing feasibility or raising cost. Enumerating each
-//     category's combinations, pruning each to its (cost ↓, capacity ↑)
-//     Pareto set and merging across categories therefore preserves all
-//     optima at a small fraction of the evaluations.
+// Every query has one exact answer, defined by the exhaustive scan: a
+// parallel streaming walk of all S configurations (Eq. 1), exactly
+// Algorithm 1, with value ties broken by configuration order (census)
+// or by the lexicographically least tuple (argmin queries). An engine
+// answers from the demand-invariant frontier index (index.go) whenever
+// its billing policy is certified index-monotone, which reproduces
+// the scan bit for bit, and falls back to the scan otherwise or when
+// SetUseIndex(false) makes it scan-only.
 package core
 
 import (
@@ -49,16 +43,17 @@ type Engine struct {
 	domain  workload.Domain
 	billing model.Billing
 
-	// Frontier-index state (see index.go): opt-in via SetUseIndex,
-	// built lazily under idxMu, published through an atomic pointer so
-	// queries never block on a rebuild and InstallIndex/RebuildIndex can
-	// swap a new index in under live traffic (zero-downtime catalog
-	// updates, snapshot restores). nil pointer = no usable index (not
-	// yet built, or the build overflowed). idxReady flips after a
-	// build/install completes so observers (response headers, telemetry)
-	// can check state without triggering the multi-second build
-	// themselves; idxTried flips after the first attempt either way.
-	useIndex bool
+	// Frontier-index state (see index.go): used unless
+	// SetUseIndex(false) made the engine scan-only, built lazily under
+	// idxMu, published through an atomic pointer so queries never block
+	// on a rebuild and InstallIndex/RebuildIndex can swap a new index in
+	// under live traffic (zero-downtime catalog updates, snapshot
+	// restores). nil pointer = no usable index (not yet built, or the
+	// build overflowed). idxReady flips after a build/install completes
+	// so observers (response headers, telemetry) can check state
+	// without triggering the multi-second build themselves; idxTried
+	// flips after the first attempt either way.
+	scanOnly bool
 	idxMu    sync.Mutex
 	idx      atomic.Pointer[FrontierIndex]
 	idxReady atomic.Bool
@@ -211,12 +206,11 @@ const ctxPollMask = 8192 - 1
 func errAborted(err error) error { return fmt.Errorf("core: query aborted: %w", err) }
 
 // Analyze runs Algorithm 1 over the entire space and Pareto-filters the
-// feasible set. An engine opted into the frontier index (SetUseIndex)
-// answers sampling-free censuses from the precomputed pair table
-// instead of re-walking the space — under per-second and per-hour
-// billing alike (model.Billing.Indexable); the two paths produce
-// byte-identical Analysis values (certified in index_test.go and the
-// per-billing property harness).
+// feasible set. Sampling-free censuses are answered from the frontier
+// index's precomputed pair table instead of re-walking the space —
+// under per-second and per-hour billing alike (model.Billing.Indexable);
+// the two paths produce byte-identical Analysis values (certified in
+// index_test.go and the per-billing property harness).
 func (e *Engine) Analyze(p workload.Params, cons Constraints, opts Options) (Analysis, error) {
 	return e.AnalyzeContext(context.Background(), p, cons, opts)
 }
@@ -298,6 +292,7 @@ func (e *Engine) scanCensus(ctx context.Context, an *Analysis, d units.Instructi
 		feasible uint64
 		seen     uint64
 		sample   []FrontierPoint
+		_        [64]byte // keep workers' hot counters off a shared cache line
 	}
 	shards := make([]shard, workers)
 	var stop atomic.Bool
@@ -350,27 +345,28 @@ func (e *Engine) scanCensus(ctx context.Context, an *Analysis, d units.Instructi
 }
 
 // searchBest routes a single-objective query to the frontier index
-// when it is active (opted in, billing certified index-monotone,
-// built) and to the decomposed search otherwise.
+// when it is active (not scan-only, billing certified index-monotone,
+// catalog under the pair cap) and to the exhaustive scan otherwise;
+// both return the scan's answer.
 func (e *Engine) searchBest(d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool) {
 	pred, ok, _ := e.searchBestCtx(context.Background(), d, cons, obj)
 	return pred, ok
 }
 
 // searchBestCtx is searchBest with cooperative cancellation on the
-// scan fallback; the index and decomposed-merge paths are fast enough
-// to run to completion regardless.
+// scan fallback; the index path is fast enough to run to completion
+// regardless.
 func (e *Engine) searchBestCtx(ctx context.Context, d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool, error) {
 	if idx := e.indexFor(); idx != nil {
 		pred, ok := idx.minSearch(e, d, cons, obj)
 		return pred, ok, nil
 	}
-	return e.decomposedSearchCtx(ctx, d, cons, obj)
+	return e.scanSearchCtx(ctx, d, cons, obj)
 }
 
 // MinCostForDeadline finds the cheapest configuration whose predicted
 // time satisfies the deadline, from the frontier index when active and
-// the decomposed search otherwise. The second return is false when no
+// the exhaustive scan otherwise. The second return is false when no
 // configuration can meet the deadline.
 func (e *Engine) MinCostForDeadline(p workload.Params, deadline units.Seconds) (model.Prediction, bool, error) {
 	return e.MinCostForDeadlineContext(context.Background(), p, deadline)
@@ -402,60 +398,17 @@ func (e *Engine) MinTimeForBudgetContext(ctx context.Context, p workload.Params,
 	return e.searchBestCtx(ctx, d, Constraints{Budget: budget}, objectiveTime)
 }
 
-// MinCostExhaustive is the exhaustive counterpart of MinCostForDeadline
-// (Algorithm 1 with a running minimum); used by tests and ablations to
-// certify the decomposition.
+// MinCostExhaustive is the exhaustive counterpart of
+// MinCostForDeadline: Algorithm 1 with a running minimum over every
+// configuration, ties broken by the lexicographically least tuple. It
+// is the oracle the frontier index is certified against, and the path
+// every query takes on a scan-only engine.
 func (e *Engine) MinCostExhaustive(p workload.Params, deadline units.Seconds) (model.Prediction, bool, error) {
 	d, err := e.Demand(p)
 	if err != nil {
 		return model.Prediction{}, false, err
 	}
-	w, nodeCost := e.caps.NodeArrays()
-	dl := Constraints{Deadline: deadline}.deadlineOrInf()
-	workers := runtime.GOMAXPROCS(0)
-	type best struct {
-		cost units.USD
-		t    config.Tuple
-		ok   bool
-	}
-	bests := make([]best, workers)
-	for i := range bests {
-		bests[i].cost = units.USD(math.Inf(1))
-	}
-	e.space.ForEachParallel(workers, func(worker int, t config.Tuple) {
-		var u units.Rate
-		var cu units.USDPerHour
-		for i := 0; i < t.Len(); i++ {
-			if m := t.Count(i); m > 0 {
-				u += units.Rate(m) * w[i]
-				cu += units.USDPerHour(m) * nodeCost[i]
-			}
-		}
-		T := units.Time(d, u)
-		if T >= dl {
-			return
-		}
-		C := e.billCost(T, cu)
-		b := &bests[worker]
-		//lint:allow floateq exact argmin tie: ulp-equal costs resolve lexicographically by tuple, deterministic either way
-		if C < b.cost || (C == b.cost && b.ok && lessTuple(t, b.t)) {
-			b.cost, b.t, b.ok = C, t, true
-		}
-	})
-	out := best{cost: units.USD(math.Inf(1))}
-	for _, b := range bests {
-		if !b.ok {
-			continue
-		}
-		//lint:allow floateq exact argmin tie: ulp-equal costs resolve lexicographically by tuple, deterministic either way
-		if b.cost < out.cost || (b.cost == out.cost && out.ok && lessTuple(b.t, out.t)) {
-			out = b
-		}
-	}
-	if !out.ok {
-		return model.Prediction{}, false, nil
-	}
-	return e.caps.PredictBilled(d, out.t, e.billing), true, nil
+	return e.scanSearchCtx(context.Background(), d, Constraints{Deadline: deadline}, objectiveCost)
 }
 
 // lessTuple is a deterministic tie-break on equal objective values.
@@ -468,169 +421,9 @@ const (
 	objectiveTime
 )
 
-// catCombo is one within-category combination with its aggregate
-// capacity and unit cost.
-type catCombo struct {
-	counts [3]uint8
-	u      units.Rate
-	cu     units.USDPerHour
-}
-
-// decomposedSearch merges per-category Pareto-pruned combinations. It
-// assumes the catalog groups into the three paper categories; for
-// other catalogs, callers should use the exhaustive path.
-func (e *Engine) decomposedSearch(d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool) {
-	pred, ok, _ := e.decomposedSearchCtx(context.Background(), d, cons, obj)
-	return pred, ok
-}
-
-func (e *Engine) decomposedSearchCtx(ctx context.Context, d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool, error) {
-	cat := e.caps.Catalog()
-	groups := make([][]int, 0, 3)
-	for _, c := range cat.CategoryNames() {
-		groups = append(groups, cat.ByCategory(c))
-	}
-	// The fast merge is shaped for the paper's 3-categories × ≤3-types
-	// structure; fall back to a full scan for other catalogs.
-	if len(groups) > 3 {
-		return e.scanSearchCtx(ctx, d, cons, obj)
-	}
-	for _, g := range groups {
-		if len(g) > 3 {
-			return e.scanSearchCtx(ctx, d, cons, obj)
-		}
-	}
-	w, nodeCost := e.caps.NodeArrays()
-
-	// Enumerate and prune each category.
-	pruned := make([][]catCombo, len(groups))
-	for g, idx := range groups {
-		var combos []catCombo
-		limits := make([]int, len(idx))
-		for k, i := range idx {
-			limits[k] = e.space.Max(i)
-		}
-		counts := make([]int, len(idx))
-		//lint:allow ctxflow bounded odometer over <=3 types of <=max-count each (a few dozen combos); the expensive scans it feeds poll ctx
-		for {
-			var cc catCombo
-			for k, i := range idx {
-				cc.counts[k] = uint8(counts[k])
-				cc.u += units.Rate(counts[k]) * w[i]
-				cc.cu += units.USDPerHour(counts[k]) * nodeCost[i]
-			}
-			combos = append(combos, cc)
-			// Odometer.
-			k := 0
-			for k < len(counts) {
-				if counts[k] < limits[k] {
-					counts[k]++
-					break
-				}
-				counts[k] = 0
-				k++
-			}
-			if k == len(counts) {
-				break
-			}
-		}
-		pruned[g] = pruneCombos(combos)
-	}
-
-	// Merge across categories.
-	deadline, budget := cons.deadlineOrInf(), cons.budgetOrInf()
-	bestVal := math.Inf(1)
-	var bestTuple config.Tuple
-	found := false
-	consider := func(u units.Rate, cu units.USDPerHour, mk func() config.Tuple) {
-		if u <= 0 {
-			return
-		}
-		T := units.Time(d, u)
-		C := e.billCost(T, cu)
-		if T >= deadline || C >= budget {
-			return
-		}
-		//lint:allow unitsafe objective value is cost ($) or time (s) by query kind; only compared against itself
-		v := float64(C)
-		if obj == objectiveTime {
-			//lint:allow unitsafe objective value is cost ($) or time (s) by query kind; only compared against itself
-			v = float64(T)
-		}
-		//lint:allow floateq exact argmin tie: ulp-equal costs resolve lexicographically by tuple, deterministic either way
-		if v < bestVal || (v == bestVal && found && lessTuple(mk(), bestTuple)) {
-			bestVal = v
-			bestTuple = mk()
-			found = true
-		}
-	}
-	for _, a := range pruned[0] {
-		for _, b := range orEmpty(pruned, 1) {
-			for _, c := range orEmpty(pruned, 2) {
-				a, b, c := a, b, c
-				consider(a.u+b.u+c.u, a.cu+b.cu+c.cu, func() config.Tuple {
-					return e.assemble(groups, [][3]uint8{a.counts, b.counts, c.counts})
-				})
-			}
-		}
-	}
-	if !found {
-		return model.Prediction{}, false, nil
-	}
-	return e.caps.PredictBilled(d, bestTuple, e.billing), true, nil
-}
-
-// orEmpty lets the merge loops run even when the catalog has fewer than
-// three categories.
-func orEmpty(pruned [][]catCombo, g int) []catCombo {
-	if g < len(pruned) {
-		return pruned[g]
-	}
-	return []catCombo{{}}
-}
-
-// assemble rebuilds a full tuple from per-category counts.
-func (e *Engine) assemble(groups [][]int, counts [][3]uint8) config.Tuple {
-	full := make([]int, e.space.Types())
-	for g, idx := range groups {
-		if g >= len(counts) {
-			break
-		}
-		for k, i := range idx {
-			full[i] = int(counts[g][k])
-		}
-	}
-	t, err := config.NewTuple(full)
-	if err != nil {
-		panic("core: assemble produced invalid tuple: " + err.Error()) // counts come from the space
-	}
-	return t
-}
-
-// pruneCombos keeps the (unit cost ↓, capacity ↑) Pareto set of a
-// category's combinations: any dominated combination can be exchanged
-// for a dominating one in a full configuration without raising cost or
-// losing capacity.
-func pruneCombos(combos []catCombo) []catCombo {
-	sort.Slice(combos, func(i, j int) bool {
-		if combos[i].cu != combos[j].cu {
-			return combos[i].cu < combos[j].cu
-		}
-		return combos[i].u > combos[j].u
-	})
-	var out []catCombo
-	bestU := units.Rate(math.Inf(-1))
-	for _, c := range combos {
-		if c.u > bestU {
-			out = append(out, c)
-			bestU = c.u
-		}
-	}
-	return out
-}
-
-// scanSearch is the general single-objective search over the whole
-// space, used when the catalog does not fit the decomposed merge.
+// scanSearch is the exhaustive single-objective search over the whole
+// space: the oracle for every argmin query and the fallback when the
+// index is not active.
 func (e *Engine) scanSearch(d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool) {
 	pred, ok, _ := e.scanSearchCtx(context.Background(), d, cons, obj)
 	return pred, ok
@@ -645,6 +438,10 @@ func (e *Engine) scanSearchCtx(ctx context.Context, d units.Instructions, cons C
 		t    config.Tuple
 		ok   bool
 		seen uint64
+		// Every configuration bumps seen, so workers' entries must not
+		// share a cache line: without the pad the two-core scan runs
+		// ~2.4× slower from line ping-pong alone.
+		_ [64]byte
 	}
 	bests := make([]best, workers)
 	for i := range bests {

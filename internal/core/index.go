@@ -293,73 +293,39 @@ func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 	x.prefix = make([]uint64, len(x.pairs)+1)
 	x.spanLess = make([]config.Tuple, len(x.pairs))
 	x.spanMinIdx = make([]uint64, len(x.pairs))
+	// A cheap serial pass finds the span boundaries and prefix sums;
+	// the running-minima fill — the expensive part — then proceeds per
+	// span in parallel. Spans touch disjoint pair ranges, so the result
+	// does not depend on the worker count (property-tested in
+	// index_test.go).
+	for i := 0; i < len(x.pairs); {
+		x.prefix[i+1] = x.prefix[i] + x.pairs[i].count
+		j := i + 1
+		//lint:allow floateq span grouping needs exact capacity identity: equal floats predict bit-equal times
+		for ; j < len(x.pairs) && x.pairs[j].u == x.pairs[i].u; j++ {
+			x.prefix[j+1] = x.prefix[j] + x.pairs[j].count
+		}
+		x.spans = append(x.spans, idxSpan{u: x.pairs[i].u, start: i, end: j})
+		i = j
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if most := 1 + len(x.pairs)/parallelCodecMin; workers > most {
 		workers = most
 	}
-	if workers == 1 {
-		// One fused walk fills the prefix sums, the span table, and the
-		// running tie-break minima, touching the pair table exactly
-		// once; on snapshot restore this walk runs right after the
-		// decoder's parse pass, so a second full traversal is
-		// measurable.
-		for i := 0; i < len(x.pairs); {
-			run := x.pairs[i].lessMin
-			runIdx := x.pairs[i].minIdx
-			x.prefix[i+1] = x.prefix[i] + x.pairs[i].count
-			x.spanLess[i] = run
-			x.spanMinIdx[i] = runIdx
-			j := i + 1
-			//lint:allow floateq span grouping needs exact capacity identity: equal floats predict bit-equal times
-			for ; j < len(x.pairs) && x.pairs[j].u == x.pairs[i].u; j++ {
-				x.prefix[j+1] = x.prefix[j] + x.pairs[j].count
-				if lessTupleFast(x.pairs[j].lessMin, run) {
-					run = x.pairs[j].lessMin
-				}
-				if x.pairs[j].minIdx < runIdx {
-					runIdx = x.pairs[j].minIdx
-				}
-				x.spanLess[j] = run
-				x.spanMinIdx[j] = runIdx
-			}
-			x.spans = append(x.spans, idxSpan{u: x.pairs[i].u, start: i, end: j})
-			i = j
+	chunk := (len(x.spans) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, len(x.spans))
+		if lo >= hi {
+			break
 		}
-	} else {
-		// Multi-core: a cheap serial pass finds the span boundaries and
-		// prefix sums, then the running-minima fill — the expensive part
-		// — proceeds per span in parallel. Spans are independent, so the
-		// result is identical to the fused walk (property-tested in
-		// index_test.go); keeping the derivation parallel matters
-		// because the build it is measured against parallelizes too.
-		for i := 0; i < len(x.pairs); {
-			x.prefix[i+1] = x.prefix[i] + x.pairs[i].count
-			j := i + 1
-			//lint:allow floateq span grouping needs exact capacity identity: equal floats predict bit-equal times
-			for ; j < len(x.pairs) && x.pairs[j].u == x.pairs[i].u; j++ {
-				x.prefix[j+1] = x.prefix[j] + x.pairs[j].count
-			}
-			x.spans = append(x.spans, idxSpan{u: x.pairs[i].u, start: i, end: j})
-			i = j
-		}
-		chunk := (len(x.spans) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(x.spans) {
-				hi = len(x.spans)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				x.fillSpanMinima(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			x.fillSpanMinima(lo, hi)
+		}(lo, hi)
 	}
+	wg.Wait()
 
 	// Staircase: walk spans from the highest capacity down; a span's
 	// cheapest pair survives only when it strictly undercuts every
@@ -596,12 +562,11 @@ func (x *FrontierIndex) Candidates() []Candidate {
 
 // FrontierCandidates builds the index if needed and returns its
 // staircase candidates regardless of the engine's billing policy or
-// index opt-in: the (U, c_u) pair table and its staircase depend only
-// on the catalog (billing enters at query-time pricing), so horizon
-// solvers can reuse one build even on engines whose billing is not
-// certified index-monotone (their per-query paths fall back to the
-// scan) and on engines that never opted their query surface in. ok is
-// false when the catalog does not compress under the pair cap.
+// scan-only setting: the (U, c_u) pair table and its staircase depend
+// only on the catalog (billing enters at query-time pricing), so
+// horizon solvers can reuse one build even on engines whose per-query
+// paths run the scan. ok is false when the catalog does not compress
+// under the pair cap.
 func (e *Engine) FrontierCandidates() ([]Candidate, bool) {
 	idx := e.ensureIndex()
 	if idx == nil {
@@ -611,8 +576,8 @@ func (e *Engine) FrontierCandidates() ([]Candidate, bool) {
 }
 
 // Frontier returns the billing-independent frontier index object,
-// building it on first use regardless of the engine's query opt-in and
-// billing policy — the snapshot layer persists exactly this object. ok
+// building it on first use regardless of the engine's scan-only
+// setting and billing policy — the snapshot layer persists exactly this object. ok
 // is false when the catalog does not compress under the pair cap.
 func (e *Engine) Frontier() (*FrontierIndex, bool) {
 	x := e.ensureIndex()
@@ -651,8 +616,9 @@ func (e *Engine) ensureIndex() *FrontierIndex {
 // see the installed index immediately. The index must cover exactly
 // this engine's configuration space; callers are responsible for
 // matching the catalog itself (internal/snapshot pins it with a
-// fingerprint). Installing does not flip the query surface on — the
-// engine still honors SetUseIndex and the billing certification gate.
+// fingerprint). Installing does not change query routing — a
+// scan-only engine stays scan-only, and the billing certification gate
+// still applies.
 func (e *Engine) InstallIndex(x *FrontierIndex) error {
 	if x == nil {
 		return fmt.Errorf("core: install of nil index")
@@ -694,33 +660,36 @@ func (e *Engine) RebuildIndex() (st IndexStats, err error) {
 	return x.Stats(), nil
 }
 
-// SetUseIndex opts the engine in (or out) of the frontier index. The
-// index is built lazily on the first routed query and reused by every
-// later one. Not safe to flip concurrently with queries: set it during
-// engine assembly, before serving.
-func (e *Engine) SetUseIndex(on bool) { e.useIndex = on }
+// SetUseIndex(false) makes the engine scan-only: every query runs the
+// exhaustive scan, which returns the same answers as the index at the
+// scan's cost. The default (true) answers from the frontier index,
+// built lazily on the first routed query and reused by every later
+// one. Not safe to flip concurrently with queries: set it during engine
+// assembly, before serving.
+func (e *Engine) SetUseIndex(on bool) { e.scanOnly = !on }
 
-// UseIndex reports whether the engine is opted into the frontier index.
-func (e *Engine) UseIndex() bool { return e.useIndex }
+// UseIndex reports whether the engine may answer from the frontier
+// index, i.e. it is not scan-only.
+func (e *Engine) UseIndex() bool { return !e.scanOnly }
 
 // indexFor returns the index when this query may be answered from it:
-// the engine opted in, the billing policy is certified index-monotone
-// (model.Billing.Indexable — per-second and per-hour both are), and
-// the build did not overflow maxIndexPairs.
+// the engine is not scan-only, the billing policy is certified
+// index-monotone (model.Billing.Indexable — per-second and per-hour
+// both are), and the build did not overflow maxIndexPairs.
 func (e *Engine) indexFor() *FrontierIndex {
-	if !e.useIndex || !e.billing.Indexable() {
+	if e.scanOnly || !e.billing.Indexable() {
 		return nil
 	}
 	return e.ensureIndex()
 }
 
 // IndexActive reports whether queries are currently answered from the
-// frontier index, building it if the engine opted in and it does not
+// frontier index, building it if queries may use it and it does not
 // exist yet.
 func (e *Engine) IndexActive() bool { return e.indexFor() != nil }
 
 // FrontierIndex exposes the engine's index (building it on first use);
-// ok is false when the engine is opted out, the billing policy is not
+// ok is false when the engine is scan-only, the billing policy is not
 // certified index-monotone, or the catalog did not compress under
 // maxIndexPairs.
 func (e *Engine) FrontierIndex() (*FrontierIndex, bool) {
@@ -734,12 +703,12 @@ func (e *Engine) FrontierIndex() (*FrontierIndex, bool) {
 // that must not pay the build cost. The atomic load orders the idx
 // pointer read after the build's completing store.
 func (e *Engine) IndexBuilt() bool {
-	return e.useIndex && e.billing.Indexable() && e.idxReady.Load()
+	return !e.scanOnly && e.billing.Indexable() && e.idxReady.Load()
 }
 
 // FrontierBuilt reports whether the billing-independent pair table and
 // staircase exist (built by any path, including FrontierCandidates),
-// without triggering a build. Distinct from IndexBuilt: an opted-out
+// without triggering a build. Distinct from IndexBuilt: a scan-only
 // engine's per-query paths bypass the index, yet a horizon solve on it
 // is still index-backed.
 func (e *Engine) FrontierBuilt() bool { return e.idxReady.Load() }
@@ -755,8 +724,8 @@ const (
 	// BypassNone: the index path is active or will activate on the
 	// first routed query.
 	BypassNone BypassCause = iota
-	// BypassConfig: the engine was deliberately opted out
-	// (SetUseIndex(false) / serving's DisableIndex) — a config choice.
+	// BypassConfig: the engine was made scan-only (SetUseIndex(false))
+	// — a configuration choice.
 	BypassConfig
 	// BypassBilling: the engine's billing policy is not certified
 	// index-monotone (model.Billing.Indexable) — a capability gap.
@@ -769,11 +738,11 @@ const (
 )
 
 // IndexBypassCause reports the engine's bypass classification without
-// triggering a build. Opt-out is reported before billing: a
+// triggering a build. Scan-only is reported before billing: a
 // deliberately scan-backed engine stays "config" whatever it bills.
 func (e *Engine) IndexBypassCause() BypassCause {
 	switch {
-	case !e.useIndex:
+	case e.scanOnly:
 		return BypassConfig
 	case !e.billing.Indexable():
 		return BypassBilling
@@ -786,9 +755,12 @@ func (e *Engine) IndexBypassCause() BypassCause {
 
 // IndexBypassReason explains why analytic queries on this engine are
 // (or would be) answered by the exhaustive scan instead of the
-// frontier index. It returns "" when the index path is active or will
-// activate on the first routed query, and never triggers a build
-// itself, so operators can probe it at startup for free.
+// frontier index: a scan-only engine, an uncertified billing policy,
+// or a catalog over the pair cap. Either path returns the same
+// answers; the reason only explains the cost. It returns "" when the
+// index path is active or will activate on the first routed query, and
+// never triggers a build itself, so operators can probe it at startup
+// for free.
 func (e *Engine) IndexBypassReason() string {
 	switch e.IndexBypassCause() {
 	case BypassConfig:

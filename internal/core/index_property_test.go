@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -25,8 +26,8 @@ func (d detSource) Seed(_ int64)   {}
 func (d detSource) Uint64() uint64 { return d.s.Uint64() }
 
 // TestIndexEqualsScanRandomized is the randomized certification of the
-// frontier index: across random catalogs, constraints (including
-// unconstrained and infeasible ones), the indexed Analyze and all
+// default (indexed) engine: across random catalogs, constraints
+// (including unconstrained and infeasible ones), its Analyze and all
 // argmin queries must equal the exhaustive scan exactly — same floats,
 // same tie winners.
 func TestIndexEqualsScanRandomized(t *testing.T) {
@@ -75,22 +76,7 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 					trial, ci, idxAn, scanAn)
 			}
 
-			dem, err := eng.Demand(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			idx := eng.indexFor()
-			if idx == nil {
-				t.Fatalf("trial %d: no index", trial)
-			}
-			for _, obj := range []objective{objectiveCost, objectiveTime} {
-				got, okG := idx.minSearch(eng, dem, cons, obj)
-				want, okW := eng.scanSearch(dem, cons, obj)
-				if okG != okW || !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d cons %d obj %d: indexed (%+v, %v) != scan (%+v, %v)",
-						trial, ci, obj, got, okG, want, okW)
-				}
-			}
+			requireSearchMatchesScan(t, eng, p, cons, fmt.Sprintf("trial %d cons %d", trial, ci))
 		}
 
 		// Codec round-trip: the snapshot payload must decode to an index
@@ -143,11 +129,6 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 		if !eng.IndexActive() {
 			t.Fatalf("trial %d: index inactive under per-hour billing", trial)
 		}
-		dem, err := eng.Demand(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := eng.indexFor()
 		for ci, cons := range conss {
 			eng.SetUseIndex(false)
 			scanAn, err := eng.Analyze(p, cons, Options{})
@@ -163,14 +144,7 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 				t.Fatalf("trial %d cons %d: per-hour indexed Analysis %+v != scan %+v",
 					trial, ci, idxAn, scanAn)
 			}
-			for _, obj := range []objective{objectiveCost, objectiveTime} {
-				got, okG := idx.minSearch(eng, dem, cons, obj)
-				want, okW := eng.scanSearch(dem, cons, obj)
-				if okG != okW || !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d cons %d obj %d: per-hour indexed (%+v, %v) != scan (%+v, %v)",
-						trial, ci, obj, got, okG, want, okW)
-				}
-			}
+			requireSearchMatchesScan(t, eng, p, cons, fmt.Sprintf("trial %d cons %d per-hour", trial, ci))
 		}
 		eng.SetUseIndex(false)
 		pHS, predHS, okHS, err := eng.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
@@ -189,6 +163,38 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 	}
 }
 
+// requireSearchMatchesScan checks the default routing of both argmin
+// objectives, and the public MinCost entry point, against the
+// exhaustive scan on an engine answering from its index.
+func requireSearchMatchesScan(t *testing.T, eng *Engine, p workload.Params, cons Constraints, label string) {
+	t.Helper()
+	if !eng.IndexActive() {
+		t.Fatalf("%s: default engine not answering from the index", label)
+	}
+	dem, err := eng.Demand(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, obj := range []objective{objectiveCost, objectiveTime} {
+		got, okG := eng.searchBest(dem, cons, obj)
+		want, okW := eng.scanSearch(dem, cons, obj)
+		if okG != okW || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s obj %d: default (%+v, %v) != scan (%+v, %v)", label, obj, got, okG, want, okW)
+		}
+	}
+	got, okG, err := eng.MinCostForDeadline(p, cons.Deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, okW, err := eng.MinCostExhaustive(p, cons.Deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if okG != okW || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: MinCostForDeadline %+v/%v != MinCostExhaustive %+v/%v", label, got, okG, want, okW)
+	}
+}
+
 // TestIndexPerHourPairCapFallsBack keeps the scan-fallback contract
 // under per-hour billing: a catalog exceeding the pair cap must bypass
 // the index with the pair-cap cause (not the billing one) and still
@@ -199,7 +205,6 @@ func TestIndexPerHourPairCapFallsBack(t *testing.T) {
 	defer func() { maxIndexPairs = old }()
 	rng := rand.New(detSource{detrand.New(0xce11a)})
 	eng := randomEngine(t, rng)
-	eng.SetUseIndex(true)
 	eng.SetBilling(model.PerHour)
 	maxCap := 0.0
 	eng.Space().ForEach(func(tp config.Tuple) bool {
@@ -213,6 +218,7 @@ func TestIndexPerHourPairCapFallsBack(t *testing.T) {
 	cons := Constraints{Deadline: deadline, Budget: 50}
 
 	scanEng := randomEngine(t, rand.New(detSource{detrand.New(0xce11a)}))
+	scanEng.SetUseIndex(false)
 	scanEng.SetBilling(model.PerHour)
 	want, err := scanEng.Analyze(p, cons, Options{})
 	if err != nil {

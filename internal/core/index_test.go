@@ -18,14 +18,6 @@ import (
 	"repro/internal/workload"
 )
 
-// indexedEngine is smallEngine opted into the frontier index.
-func indexedEngine(t *testing.T, app workload.App, maxNodes int) *Engine {
-	t.Helper()
-	eng := smallEngine(t, app, maxNodes)
-	eng.SetUseIndex(true)
-	return eng
-}
-
 // requireSameAnalysis asserts byte-identical Analysis values: deep
 // equality of the structs and equality of their JSON encodings (the
 // form the serving layer caches and returns).
@@ -86,10 +78,10 @@ func TestLessTupleFastMatchesLessTuple(t *testing.T) {
 }
 
 func TestIndexedAnalyzeMatchesScanSmall(t *testing.T) {
-	scanEng := smallEngine(t, galaxy.App{}, 2)
-	idxEng := indexedEngine(t, galaxy.App{}, 2)
+	scanEng := scanEngine(t, galaxy.App{}, 2)
+	idxEng := smallEngine(t, galaxy.App{}, 2)
 	if !idxEng.IndexActive() {
-		t.Fatal("index not active on a per-second engine that opted in")
+		t.Fatal("index not active on a default per-second engine")
 	}
 	p := workload.Params{N: 32768, A: 2000}
 	cases := []struct {
@@ -117,8 +109,8 @@ func TestIndexedAnalyzeMatchesScanSmall(t *testing.T) {
 }
 
 func TestIndexedArgminMatchesExhaustiveSmall(t *testing.T) {
-	scanEng := smallEngine(t, galaxy.App{}, 2)
-	idxEng := indexedEngine(t, galaxy.App{}, 2)
+	scanEng := scanEngine(t, galaxy.App{}, 2)
+	idxEng := smallEngine(t, galaxy.App{}, 2)
 	p := workload.Params{N: 32768, A: 2000}
 	d, err := scanEng.Demand(p)
 	if err != nil {
@@ -144,8 +136,8 @@ func TestIndexedArgminMatchesExhaustiveSmall(t *testing.T) {
 			}
 		}
 	}
-	// The public entry points, including the exhaustive argmin used to
-	// certify Decomposed (identical tuple, not just identical cost).
+	// The public entry points against the exhaustive argmin (identical
+	// tuple, not just identical cost).
 	for _, deadline := range []units.Seconds{units.FromHours(12), units.FromHours(24)} {
 		gotP, okG, err := idxEng.MinCostForDeadline(p, deadline)
 		if err != nil {
@@ -163,8 +155,8 @@ func TestIndexedArgminMatchesExhaustiveSmall(t *testing.T) {
 }
 
 func TestIndexedMaxAccuracyMatchesScanSmall(t *testing.T) {
-	scanEng := smallEngine(t, galaxy.App{}, 2)
-	idxEng := indexedEngine(t, galaxy.App{}, 2)
+	scanEng := scanEngine(t, galaxy.App{}, 2)
+	idxEng := smallEngine(t, galaxy.App{}, 2)
 	cons := Constraints{Deadline: units.FromHours(24), Budget: 60}
 	pS, predS, okS, err := scanEng.MaxAccuracy(32768, cons, 1e-3)
 	if err != nil {
@@ -181,8 +173,8 @@ func TestIndexedMaxAccuracyMatchesScanSmall(t *testing.T) {
 }
 
 func TestIndexedEpsilonMatchesScanSmall(t *testing.T) {
-	scanEng := smallEngine(t, galaxy.App{}, 2)
-	idxEng := indexedEngine(t, galaxy.App{}, 2)
+	scanEng := scanEngine(t, galaxy.App{}, 2)
+	idxEng := smallEngine(t, galaxy.App{}, 2)
 	p := workload.Params{N: 32768, A: 2000}
 	cons := Constraints{Deadline: units.FromHours(48), Budget: 500}
 	for _, opts := range []Options{
@@ -205,8 +197,8 @@ func TestIndexedEpsilonMatchesScanSmall(t *testing.T) {
 func TestIndexedSamplingForcesScan(t *testing.T) {
 	// Sampling needs the per-configuration walk, so an indexed engine
 	// must produce exactly what the scan produces, sample included.
-	scanEng := smallEngine(t, galaxy.App{}, 2)
-	idxEng := indexedEngine(t, galaxy.App{}, 2)
+	scanEng := scanEngine(t, galaxy.App{}, 2)
+	idxEng := smallEngine(t, galaxy.App{}, 2)
 	p := workload.Params{N: 32768, A: 2000}
 	cons := Constraints{Deadline: units.FromHours(48), Budget: 500}
 	opts := Options{Workers: 4, SampleEvery: 10, SampleCap: 50}
@@ -228,7 +220,7 @@ func TestIndexPerHourBillingServes(t *testing.T) {
 	// Per-hour ceil billing is jointly monotone in (time, unit cost),
 	// so the same index serves it: queries stay routed, and they match
 	// the exhaustive per-hour argmin exactly — tuple included.
-	eng := indexedEngine(t, galaxy.App{}, 2)
+	eng := smallEngine(t, galaxy.App{}, 2)
 	if !eng.IndexActive() {
 		t.Fatal("per-second index inactive")
 	}
@@ -244,7 +236,7 @@ func TestIndexPerHourBillingServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanEng := smallEngine(t, galaxy.App{}, 2)
+	scanEng := scanEngine(t, galaxy.App{}, 2)
 	scanEng.SetBilling(model.PerHour)
 	want, okW, err := scanEng.MinCostExhaustive(p, units.FromHours(24))
 	if err != nil {
@@ -274,12 +266,11 @@ func TestIndexOverflowGuardFallsBack(t *testing.T) {
 	maxIndexPairs = 8
 	defer func() { maxIndexPairs = old }()
 	eng := smallEngine(t, galaxy.App{}, 1)
-	eng.SetUseIndex(true)
 	if eng.IndexActive() {
 		t.Fatal("index built past the pair cap")
 	}
 	// Queries still answer, via the scan.
-	scanEng := smallEngine(t, galaxy.App{}, 1)
+	scanEng := scanEngine(t, galaxy.App{}, 1)
 	p := workload.Params{N: 32768, A: 1000}
 	cons := Constraints{Deadline: units.FromHours(24), Budget: 500}
 	scan, err := scanEng.Analyze(p, cons, Options{})
@@ -293,17 +284,60 @@ func TestIndexOverflowGuardFallsBack(t *testing.T) {
 	requireSameAnalysis(t, "overflow", idx, scan)
 }
 
+// requireArgminsMatchScan certifies the default engine's MinCost,
+// MinTime and MaxAccuracy answers against the exhaustive scan bit for
+// bit. MaxAccuracy's bisection would take ~20 paper-space scans, so its
+// answer is certified at the accuracy it returns: the scan's argmin
+// there must be the returned prediction.
+func requireArgminsMatchScan(t *testing.T, label string, eng, scan *Engine, p workload.Params, cons Constraints) {
+	t.Helper()
+	got, okG, err := eng.MinCostForDeadline(p, cons.Deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, okW, err := scan.MinCostExhaustive(p, cons.Deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if okG != okW || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s mincost: default %+v/%v != exhaustive %+v/%v", label, got, okG, want, okW)
+	}
+	got, okG, err = eng.MinTimeForBudget(p, cons.Budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, okW, err = scan.MinTimeForBudget(p, cons.Budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if okG != okW || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s mintime: default %+v/%v != scan %+v/%v", label, got, okG, want, okW)
+	}
+	pa, pred, ok, err := eng.MaxAccuracy(p.N, cons, 1e-3)
+	if err != nil || !ok {
+		t.Fatalf("%s maxaccuracy: %v %v", label, ok, err)
+	}
+	d, err := scan.Demand(pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, okW := scan.scanSearch(d, cons, objectiveCost); !okW || !reflect.DeepEqual(pred, want) {
+		t.Errorf("%s maxaccuracy at a=%v: default %+v != scan %+v/%v", label, pa.A, pred, want, okW)
+	}
+}
+
 func TestIndexGoldenPaperSpace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-space census in -short mode")
 	}
 	// The golden certification: on the paper's full 10,077,695-
-	// configuration space, the indexed census must reproduce the
-	// exhaustive census byte for byte, and the index's shape must match
-	// the recorded compression (EXPERIMENTS.md pins the census values).
+	// configuration space, the default engine's census and argmins must
+	// reproduce the exhaustive scan byte for byte, and the index's shape
+	// must match the recorded compression (EXPERIMENTS.md pins the
+	// census values).
 	scanEng := NewPaperEngine(galaxy.App{})
-	idxEng := NewPaperEngine(galaxy.App{})
-	idxEng.SetUseIndex(true)
+	scanEng.SetUseIndex(false)
+	idxEng := paperEngine(galaxy.App{})
 
 	idx, ok := idxEng.FrontierIndex()
 	if !ok {
@@ -332,37 +366,19 @@ func TestIndexGoldenPaperSpace(t *testing.T) {
 		t.Errorf("galaxy census = %d feasible, %d frontier; want 7916146, 77",
 			got.Feasible, len(got.Frontier))
 	}
+	requireArgminsMatchScan(t, "galaxy", idxEng, scanEng, p, cons)
 
-	// The paper's annotated spill point via the index. The exhaustive
-	// scan's winner is [5,5,5,1,1,0,0,0,0]: within the type-3/type-4
-	// instance family (exact 2× vCPU/price scaling) the two spellings
-	// are the same machine mix, but the float accumulation of the
-	// (1,1) split rounds one ulp cheaper, so it is the true float
-	// argmin. The decomposed path prunes it inside its category table
-	// and lands on [5,5,5,3,0,0,0,0,0] one ulp above — a pre-existing
-	// ulp-level divergence of the decomposed path, not an index
-	// regression; the index certifies against the exhaustive scan.
+	// The paper's annotated spill point. The exhaustive scan's winner is
+	// [5,5,5,1,1,0,0,0,0]: within the type-3/type-4 instance family
+	// (exact 2× vCPU/price scaling) it is the same machine mix as the
+	// paper's [5,5,5,3,0,0,0,0,0], but the float accumulation of the
+	// (1,1) split rounds one ulp cheaper, so it is the float argmin.
 	pred, okP, err := idxEng.MinCostForDeadline(p, units.FromHours(24))
 	if err != nil || !okP {
 		t.Fatal(okP, err)
 	}
 	if pred.Config.String() != "[5,5,5,1,1,0,0,0,0]" {
-		t.Errorf("indexed spill config = %s, want [5,5,5,1,1,0,0,0,0]", pred.Config)
-	}
-	exh, okE, err := scanEng.MinCostExhaustive(p, units.FromHours(24))
-	if err != nil || !okE {
-		t.Fatal(okE, err)
-	}
-	if !reflect.DeepEqual(pred, exh) {
-		t.Errorf("indexed mincost %+v != exhaustive %+v", pred, exh)
-	}
-	dec, okD, err := scanEng.MinCostForDeadline(p, units.FromHours(24))
-	if err != nil || !okD {
-		t.Fatal(okD, err)
-	}
-	if dec.Config.String() != "[5,5,5,3,0,0,0,0,0]" || dec.Cost <= pred.Cost {
-		t.Errorf("decomposed pick %s at $%v changed; the documented ulp gap to the index's $%v no longer holds",
-			dec.Config, dec.Cost, pred.Cost)
+		t.Errorf("spill config = %s, want [5,5,5,1,1,0,0,0,0]", pred.Config)
 	}
 }
 
@@ -371,8 +387,8 @@ func TestIndexGoldenPaperSpaceSand(t *testing.T) {
 		t.Skip("paper-space census in -short mode")
 	}
 	scanEng := NewPaperEngine(sand.App{})
-	idxEng := NewPaperEngine(sand.App{})
-	idxEng.SetUseIndex(true)
+	scanEng.SetUseIndex(false)
+	idxEng := paperEngine(sand.App{})
 	p := workload.Params{N: 8192e6, A: 0.32}
 	cons := Constraints{Deadline: units.FromHours(24), Budget: 350}
 	scan, err := scanEng.Analyze(p, cons, Options{})
@@ -396,20 +412,15 @@ func TestIndexGoldenPaperSpacePerHour(t *testing.T) {
 	}
 	// The per-hour golden certification: on the paper's full
 	// configuration space under the billing policy the paper's own era
-	// used, the indexed Analyze and argmin must reproduce the exhaustive
-	// scan byte for byte — this is the query mix that used to fall back
-	// to the ~350ms scan.
+	// used, the default engine's Analyze and argmins must reproduce the
+	// exhaustive scan byte for byte.
 	scanEng := NewPaperEngine(galaxy.App{})
 	scanEng.SetBilling(model.PerHour)
-	idxEng := NewPaperEngine(galaxy.App{})
+	scanEng.SetUseIndex(false)
+	idxEng := paperEngine(galaxy.App{})
 	idxEng.SetBilling(model.PerHour)
-	idxEng.SetUseIndex(true)
 	if !idxEng.IndexActive() {
-		// Force the lazy build through a query below; IndexActive only
-		// turns true after the first build attempt succeeds.
-		if _, ok := idxEng.FrontierIndex(); !ok {
-			t.Fatal("paper engine refused to build the index under per-hour billing")
-		}
+		t.Fatal("paper engine not answering from the index under per-hour billing")
 	}
 
 	p := workload.Params{N: 65536, A: 8000}
@@ -432,22 +443,12 @@ func TestIndexGoldenPaperSpacePerHour(t *testing.T) {
 		}
 		requireSameAnalysis(t, "per-hour "+c.label, got, scan)
 	}
-
-	pred, okP, err := idxEng.MinCostForDeadline(p, units.FromHours(24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exh, okE, err := scanEng.MinCostExhaustive(p, units.FromHours(24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if okP != okE || !reflect.DeepEqual(pred, exh) {
-		t.Errorf("per-hour indexed mincost %+v/%v != exhaustive %+v/%v", pred, okP, exh, okE)
-	}
+	requireArgminsMatchScan(t, "per-hour", idxEng, scanEng, p,
+		Constraints{Deadline: units.FromHours(24), Budget: 350})
 }
 
 func TestFrontierCandidatesStaircase(t *testing.T) {
-	eng := indexedEngine(t, galaxy.App{}, 2)
+	eng := smallEngine(t, galaxy.App{}, 2)
 	cands, ok := eng.FrontierCandidates()
 	if !ok || len(cands) == 0 {
 		t.Fatalf("no candidates from an indexable catalog: ok=%v n=%d", ok, len(cands))
@@ -472,15 +473,15 @@ func TestFrontierCandidatesStaircase(t *testing.T) {
 }
 
 func TestFrontierCandidatesIgnoreBillingAndOptIn(t *testing.T) {
-	// Neither billing policy nor a missing opt-in blocks the build: the
-	// staircase depends only on the catalog, so horizon solvers get the
-	// same candidates the query index serves.
-	ref := indexedEngine(t, galaxy.App{}, 2)
+	// Neither billing policy nor a scan-only engine blocks the build:
+	// the staircase depends only on the catalog, so horizon solvers get
+	// the same candidates the query index serves.
+	ref := smallEngine(t, galaxy.App{}, 2)
 	want, ok := ref.FrontierCandidates()
 	if !ok {
 		t.Fatal("reference engine did not index")
 	}
-	eng := smallEngine(t, galaxy.App{}, 2) // never opted in
+	eng := scanEngine(t, galaxy.App{}, 2)
 	eng.SetBilling(model.PerHour)
 	if eng.FrontierBuilt() {
 		t.Fatal("FrontierBuilt before any build was requested")
@@ -490,38 +491,38 @@ func TestFrontierCandidatesIgnoreBillingAndOptIn(t *testing.T) {
 		t.Fatal("per-hour engine refused to build the frontier")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("candidates depend on billing/opt-in:\n%+v\n%+v", got, want)
+		t.Fatalf("candidates depend on billing/scan-only:\n%+v\n%+v", got, want)
 	}
 	if !eng.FrontierBuilt() {
 		t.Fatal("FrontierBuilt false after a successful build")
 	}
 	if eng.IndexActive() {
-		t.Fatal("query path claims the index despite the missing opt-in")
+		t.Fatal("query path of a scan-only engine claims the index")
 	}
 	if cause := eng.IndexBypassCause(); cause != BypassConfig {
-		t.Fatalf("bypass cause = %d, want BypassConfig (opt-out outranks billing)", cause)
+		t.Fatalf("bypass cause = %d, want BypassConfig (scan-only outranks billing)", cause)
 	}
 }
 
 func TestIndexBypassReason(t *testing.T) {
-	optedOut := smallEngine(t, galaxy.App{}, 1)
-	if got := optedOut.IndexBypassReason(); got != "index disabled for this engine" {
-		t.Fatalf("opted-out reason = %q", got)
+	scanOnly := scanEngine(t, galaxy.App{}, 1)
+	if got := scanOnly.IndexBypassReason(); got != "index disabled for this engine" {
+		t.Fatalf("scan-only reason = %q", got)
 	}
 
-	perHour := indexedEngine(t, galaxy.App{}, 1)
+	perHour := smallEngine(t, galaxy.App{}, 1)
 	perHour.SetBilling(model.PerHour)
 	if got := perHour.IndexBypassReason(); got != "" {
 		t.Fatalf("per-hour engine reports bypass: %q", got)
 	}
 
-	uncertified := indexedEngine(t, galaxy.App{}, 1)
+	uncertified := smallEngine(t, galaxy.App{}, 1)
 	uncertified.SetBilling(model.Billing(7))
 	if got := uncertified.IndexBypassReason(); got == "" || !strings.Contains(got, "not certified") {
 		t.Fatalf("uncertified-billing reason = %q", got)
 	}
 
-	active := indexedEngine(t, galaxy.App{}, 1)
+	active := smallEngine(t, galaxy.App{}, 1)
 	if got := active.IndexBypassReason(); got != "" {
 		t.Fatalf("healthy engine reports bypass before build: %q", got)
 	}
@@ -535,7 +536,7 @@ func TestIndexBypassReason(t *testing.T) {
 	old := maxIndexPairs
 	maxIndexPairs = 2
 	defer func() { maxIndexPairs = old }()
-	overflow := indexedEngine(t, galaxy.App{}, 1)
+	overflow := smallEngine(t, galaxy.App{}, 1)
 	// Probing never builds: the overflow is invisible until a query
 	// (or a horizon solve) actually tries.
 	if got := overflow.IndexBypassReason(); got != "" {
@@ -549,8 +550,8 @@ func TestIndexBypassReason(t *testing.T) {
 	}
 }
 
-// TestParallelDerivationMatchesSerial pins the two decode/derive code
-// paths to each other: the fused single-core walk and the multi-core
+// TestParallelDerivationMatchesSerial pins decode/derive to its worker
+// count: the single-worker parse + span fill and the multi-core
 // chunked parse + parallel span fill must produce identical indexes.
 // GOMAXPROCS is toggled explicitly so both paths run regardless of the
 // host's core count, over a synthetic pair table big enough

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -16,8 +16,8 @@ import (
 
 // randomEngine builds an engine over a randomized catalog (random
 // prices and rates, 1–3 categories × 1–3 types, small node limits) so
-// the decomposed-vs-exhaustive equivalence is tested far from the
-// paper's particular numbers.
+// the default path's equivalence to the exhaustive scan is tested far
+// from the paper's particular numbers.
 func randomEngine(t *testing.T, rng *rand.Rand) *Engine {
 	t.Helper()
 	nCats := 1 + rng.Intn(3)
@@ -64,11 +64,10 @@ func randomEngine(t *testing.T, rng *rand.Rand) *Engine {
 	return eng
 }
 
-// TestDecomposedEqualsExhaustiveRandomized is the randomized
-// certification of the decomposition argument: for any additive
-// capacity/cost structure, pruning each category to its Pareto set
-// loses no optimum.
-func TestDecomposedEqualsExhaustiveRandomized(t *testing.T) {
+// TestMinCostEqualsExhaustiveRandomized certifies the public MinCost
+// entry point against the exhaustive oracle across random additive
+// capacity/cost structures: the same tuple and the same cost bits.
+func TestMinCostEqualsExhaustiveRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 40; trial++ {
 		eng := randomEngine(t, rng)
@@ -86,7 +85,7 @@ func TestDecomposedEqualsExhaustiveRandomized(t *testing.T) {
 		d := maxCap * frac * float64(deadline)
 		p := workload.Params{N: d, A: 1}
 
-		dec, okD, err := eng.MinCostForDeadline(p, deadline)
+		got, okG, err := eng.MinCostForDeadline(p, deadline)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,23 +93,16 @@ func TestDecomposedEqualsExhaustiveRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if okD != okE {
-			t.Fatalf("trial %d: feasibility mismatch dec=%v exh=%v", trial, okD, okE)
-		}
-		if !okD {
-			continue
-		}
-		if math.Abs(float64(dec.Cost)-float64(exh.Cost)) > 1e-9*math.Max(1, float64(exh.Cost)) {
-			t.Fatalf("trial %d: decomposed %v != exhaustive %v (%v vs %v)",
-				trial, dec.Cost, exh.Cost, dec.Config, exh.Config)
+		if okG != okE || !reflect.DeepEqual(got, exh) {
+			t.Fatalf("trial %d: default %+v/%v != exhaustive %+v/%v", trial, got, okG, exh, okE)
 		}
 	}
 }
 
-// TestDecomposedEqualsExhaustiveHourlyRandomized repeats the
+// TestMinCostEqualsExhaustiveHourlyRandomized repeats the
 // certification under per-hour billing, where cost is a step function
 // of time.
-func TestDecomposedEqualsExhaustiveHourlyRandomized(t *testing.T) {
+func TestMinCostEqualsExhaustiveHourlyRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	for trial := 0; trial < 25; trial++ {
 		eng := randomEngine(t, rng)
@@ -125,7 +117,7 @@ func TestDecomposedEqualsExhaustiveHourlyRandomized(t *testing.T) {
 		deadline := units.Seconds(3600 * (1 + 10*rng.Float64()))
 		d := maxCap * (0.3 + 0.5*rng.Float64()) * float64(deadline)
 		p := workload.Params{N: d, A: 1}
-		dec, okD, err := eng.MinCostForDeadline(p, deadline)
+		got, okG, err := eng.MinCostForDeadline(p, deadline)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +125,8 @@ func TestDecomposedEqualsExhaustiveHourlyRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if okD != okE {
-			t.Fatalf("trial %d: feasibility mismatch", trial)
-		}
-		if okD && math.Abs(float64(dec.Cost)-float64(exh.Cost)) > 1e-9*math.Max(1, float64(exh.Cost)) {
-			t.Fatalf("trial %d: hourly decomposed %v != exhaustive %v", trial, dec.Cost, exh.Cost)
+		if okG != okE || !reflect.DeepEqual(got, exh) {
+			t.Fatalf("trial %d: hourly default %+v/%v != exhaustive %+v/%v", trial, got, okG, exh, okE)
 		}
 	}
 }
@@ -192,11 +181,12 @@ func TestFrontierInvariantsRandomized(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWorkerCountInvariance: the census result must not depend
-// on the parallelism degree.
+// TestAnalyzeWorkerCountInvariance: the scan census result must not
+// depend on the parallelism degree.
 func TestAnalyzeWorkerCountInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	eng := randomEngine(t, rng)
+	eng.SetUseIndex(false)
 	p := workload.Params{N: 1e13, A: 1}
 	cons := Constraints{Deadline: units.FromHours(10), Budget: 1e6}
 	ref, err := eng.Analyze(p, cons, Options{Workers: 1})
@@ -220,9 +210,9 @@ func TestAnalyzeWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestScanSearchFallbackFourCategories: catalogs beyond the 3x3
-// category structure must fall back to the general scan and still be
-// exact.
+// TestScanSearchFallbackFourCategories: on a catalog beyond the paper's
+// 3x3 category structure, the index and the scan fallback must return
+// the same argmins, tuple included.
 func TestScanSearchFallbackFourCategories(t *testing.T) {
 	var types []ec2.InstanceType
 	for c := 0; c < 4; c++ {
@@ -248,28 +238,41 @@ func TestScanSearchFallbackFourCategories(t *testing.T) {
 		t.Fatal(err)
 	}
 	dm := demand.FromFunc("four", func(n, a float64) float64 { return n })
-	eng, err := NewEngine(caps, dm, space, workload.Domain{MinN: 1, MaxN: 1e18, MinA: 0, MaxA: 1e18})
+	dom := workload.Domain{MinN: 1, MaxN: 1e18, MinA: 0, MaxA: 1e18}
+	eng, err := NewEngine(caps, dm, space, dom)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scan, err := NewEngine(caps, dm, space, dom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan.SetUseIndex(false)
 	p := workload.Params{N: 3e13, A: 1}
-	dec, okD, err := eng.MinCostForDeadline(p, units.FromHours(1))
+	got, okG, err := eng.MinCostForDeadline(p, units.FromHours(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exh, okE, err := eng.MinCostExhaustive(p, units.FromHours(1))
+	exh, okE, err := scan.MinCostForDeadline(p, units.FromHours(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if okD != okE || (okD && math.Abs(float64(dec.Cost-exh.Cost)) > 1e-9) {
-		t.Fatalf("4-category fallback mismatch: %v/%v vs %v/%v", dec.Cost, okD, exh.Cost, okE)
+	if !okG || okG != okE || !reflect.DeepEqual(got, exh) {
+		t.Fatalf("4-category mincost: index %+v/%v != scan %+v/%v", got, okG, exh, okE)
 	}
-	// MinTime through the same fallback.
+	// MinTime through both paths.
 	mt, okT, err := eng.MinTimeForBudget(p, 100)
 	if err != nil || !okT {
 		t.Fatal(okT, err)
 	}
+	mtScan, okTS, err := scan.MinTimeForBudget(p, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if okT != okTS || !reflect.DeepEqual(mt, mtScan) {
+		t.Fatalf("4-category mintime: index %+v != scan %+v", mt, mtScan)
+	}
 	if float64(mt.Cost) >= 100 {
-		t.Fatal("fallback ignored the budget")
+		t.Fatal("mintime ignored the budget")
 	}
 }

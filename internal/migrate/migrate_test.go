@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/apps/galaxy"
 	"repro/internal/config"
-	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/model"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -14,7 +14,7 @@ import (
 
 func setup(t *testing.T) (*model.Capacities, *config.Space) {
 	t.Helper()
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	return eng.Capacities(), eng.Space()
 }
 
@@ -22,7 +22,7 @@ func TestStayWhenAlreadyOptimal(t *testing.T) {
 	caps, space := setup(t)
 	// The engine's own optimum for this remaining work and deadline:
 	// migrating away from it can only add overhead.
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	p := workload.Params{N: 65536, A: 8000}
 	pred, ok, err := eng.MinCostForDeadline(p, units.FromHours(24))
 	if err != nil || !ok {

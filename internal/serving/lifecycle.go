@@ -22,7 +22,7 @@ import (
 //   - restored: the artifact decoded, matched the engine's catalog
 //     fingerprint, and was installed — the app starts "built" and never
 //     pays the scan-speed build;
-//   - bypassed: the engine does not use the index (opted out or an
+//   - bypassed: the engine does not use the index (scan-only or an
 //     uncertified billing policy); no artifact is touched;
 //   - degraded: the artifact was missing, unreadable, corrupt, or
 //     stale. The app serves from the exhaustive scan immediately and a
@@ -100,9 +100,6 @@ func (f *Frontdoor) restoreOne(path string, eng *core.Engine) error {
 // an atomic pointer store when done; until then the app serves from the
 // scan in the declared "building" state.
 func (f *Frontdoor) SwapEngine(app string, eng *core.Engine) {
-	if !f.cfg.DisableIndex {
-		eng.SetUseIndex(true)
-	}
 	st := initialStatus(eng)
 	if st.State == IndexPending {
 		st = IndexStatus{State: IndexBuilding, Reason: "catalog swapped; index rebuild in progress"}

@@ -23,12 +23,12 @@
 // accounting flow into a telemetry.Registry exported by the API layer
 // at GET /debug/metrics.
 //
-// Below the cache, NewFrontdoor opts every mounted engine into the
-// core frontier index (Config.DisableIndex turns this off), so analytic
-// leader runs answer from the precomputed demand-invariant frontier
-// instead of re-scanning the configuration space. The serving.index.*
-// counters and gauges report how many leader computes were index-served
-// versus scan-backed and the shape of the built indexes.
+// Below the cache, engines answer analytic leader runs from the core
+// frontier index — the engine default — instead of re-scanning the
+// configuration space; the Frontdoor serves each engine as mounted, so
+// a scan-only engine stays scan-backed. The serving.index.* counters
+// and gauges report how many leader computes were index-served versus
+// scan-backed and the shape of the built indexes.
 //
 // The Frontdoor also owns the resilient index lifecycle (DESIGN.md
 // §11). LoadSnapshots restores each engine's frontier index from disk
@@ -99,13 +99,6 @@ type Config struct {
 	// RequestTimeout bounds each request from admission to queue exit.
 	// 0 → 60 s; negative → no per-request deadline.
 	RequestTimeout time.Duration
-	// DisableIndex keeps the mounted engines on the exhaustive scan
-	// instead of opting them into the frontier index. The zero value
-	// (index enabled) is right for production: answers are certified
-	// byte-identical under every certified billing policy (per-second
-	// and per-hour), and only the first analytic query per engine pays
-	// the one-time build.
-	DisableIndex bool
 	// SnapshotDir holds frontier-index snapshots: LoadSnapshots restores
 	// from it, and successful background rebuilds re-save into it.
 	// Empty → snapshots disabled.
@@ -210,8 +203,8 @@ func (s CacheStatus) String() string {
 type IndexState string
 
 const (
-	// IndexPending: the engine is opted in but no query has triggered
-	// the lazy build yet; the first analytic leader compute pays it.
+	// IndexPending: the engine uses the index but no query has
+	// triggered the lazy build yet; the first analytic leader compute pays it.
 	IndexPending IndexState = "pending"
 	// IndexBuilding: a background rebuild is in flight; queries serve
 	// from whatever was published before (or the scan if nothing was).
@@ -224,7 +217,7 @@ const (
 	// gauge counts these apps and responses carry X-Index: degraded.
 	IndexDegraded IndexState = "degraded"
 	// IndexBypassed: the index is not in use for this engine. The
-	// status's Cause distinguishes a deliberate opt-out ("config") from
+	// status's Cause distinguishes a scan-only engine ("config") from
 	// a billing policy the index is not certified for ("billing") and
 	// from a catalog that did not compress under the pair cap
 	// ("pair-cap") — the first is configuration, the other two are
@@ -303,7 +296,7 @@ func AnalyticKind(kind string) bool {
 
 // indexBacked reports whether a leader compute of this kind actually
 // ran against the index. Per-query kinds need the engine's routed
-// index (opted in, billing certified index-monotone); a "schedule"
+// index (not scan-only, billing certified index-monotone); a "schedule"
 // solve reuses the billing-independent staircase, so it is
 // index-backed whenever that build succeeded.
 func indexBacked(kind string, eng *core.Engine) bool {
@@ -338,9 +331,9 @@ func NewFrontdoor(engines map[string]*core.Engine, cfg Config) (*Frontdoor, erro
 		idxBypass: cfg.Metrics.Counter("serving.index.bypass"),
 		// bypass counts every scan-backed analytic leader compute;
 		// bypass_billing additionally counts the subset forced off the
-		// index by an uncertified billing policy. A nonzero
-		// bypass_billing with DisableIndex unset is a capability gap,
-		// not a configuration choice — alert on it.
+		// index by an uncertified billing policy. Unlike a scan-only
+		// engine, a nonzero bypass_billing is a capability gap, not a
+		// configuration choice — alert on it.
 		idxBypassBilling: cfg.Metrics.Counter("serving.index.bypass_billing"),
 		// Snapshot lifecycle counters: artifacts restored at startup,
 		// artifacts refused (corrupt/stale/unreadable), artifacts saved
@@ -367,9 +360,6 @@ func NewFrontdoor(engines map[string]*core.Engine, cfg Config) (*Frontdoor, erro
 		f.cache = newResultCache(cfg.CacheBytes, cfg.CacheTTL, cfg.Metrics)
 	}
 	for name, e := range own {
-		if !cfg.DisableIndex {
-			e.SetUseIndex(true)
-		}
 		f.status[name] = initialStatus(e)
 	}
 	return f, nil

@@ -28,6 +28,18 @@ func newTestFrontdoor(t *testing.T, cfg Config) *Frontdoor {
 	return f
 }
 
+// newScanOnlyFrontdoor mounts a scan-only paper engine.
+func newScanOnlyFrontdoor(t *testing.T, cfg Config) *Frontdoor {
+	t.Helper()
+	eng := core.NewPaperEngine(galaxy.App{})
+	eng.SetUseIndex(false)
+	f, err := NewFrontdoor(map[string]*core.Engine{"galaxy": eng}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestNewFrontdoorRequiresEngines(t *testing.T) {
 	if _, err := NewFrontdoor(nil, Config{}); err == nil {
 		t.Fatal("empty frontdoor accepted")
@@ -363,9 +375,9 @@ func TestRealEngineThroughFrontdoor(t *testing.T) {
 		t.Fatalf("cold %q != warm %q", cold, warm)
 	}
 	// The exhaustive tie winner for the paper's spill scenario shows up
-	// through the stack: the frontdoor opts the engine into the frontier
-	// index, which (certified against MinCostExhaustive) lands one ulp
-	// cheaper than the decomposed search's [5 5 5 3 ...].
+	// through the stack: the engine answers from its frontier index,
+	// which (certified against MinCostExhaustive) picks the paper's
+	// [5 5 5 3 ...] machine mix spelled one ulp cheaper.
 	if want := "[5 5 5 1 1 0 0 0 0]"; !bytes.Contains(cold, []byte(want)) {
 		t.Fatalf("body %q missing %q", cold, want)
 	}
@@ -387,25 +399,28 @@ func TestRealEngineThroughFrontdoor(t *testing.T) {
 	}
 }
 
-// TestFrontdoorIndexOptIn pins the Config.DisableIndex contract: the
-// default opts every mounted engine into the frontier index but never
-// builds eagerly (startup stays cheap; the first analytic query pays),
-// while DisableIndex leaves engines scan-backed and counts analytic
-// leader computes as bypasses.
+// TestFrontdoorIndexOptIn pins that the Frontdoor serves engines as
+// mounted: a default engine stays on the frontier index but is never
+// built eagerly (startup stays cheap; the first analytic query pays),
+// while a scan-only engine stays scan-backed and its analytic leader
+// computes count as bypasses.
 func TestFrontdoorIndexOptIn(t *testing.T) {
 	f := newTestFrontdoor(t, Config{})
 	eng, _ := f.Engine("galaxy")
 	if !eng.UseIndex() {
-		t.Fatal("default frontdoor left the engine scan-backed")
+		t.Fatal("default engine mounted scan-backed")
 	}
 	if eng.IndexBuilt() {
 		t.Fatal("NewFrontdoor built the index eagerly")
 	}
+	if st, ok := f.IndexStatusFor("galaxy"); !ok || st.State != IndexPending {
+		t.Fatalf("default engine status = %+v, want pending", st)
+	}
 
-	off := newTestFrontdoor(t, Config{DisableIndex: true})
+	off := newScanOnlyFrontdoor(t, Config{})
 	offEng, _ := off.Engine("galaxy")
 	if offEng.UseIndex() {
-		t.Fatal("DisableIndex frontdoor opted the engine in")
+		t.Fatal("frontdoor opted a scan-only engine into the index")
 	}
 	// A stubbed analytic leader compute on the scan-backed engine is a
 	// bypass; the non-analytic "risk" kind is counted as neither.
@@ -431,8 +446,8 @@ func TestFrontdoorIndexOptIn(t *testing.T) {
 // TestFrontdoorBypassBillingSplit pins the bypass-cause taxonomy: an
 // engine forced off the index by an uncertified billing policy counts
 // in both serving.index.bypass and serving.index.bypass_billing and
-// reports cause "billing" in its /readyz status, while a config opt-out
-// counts only in the aggregate with cause "config".
+// reports cause "billing" in its /readyz status, while a scan-only
+// engine counts only in the aggregate with cause "config".
 func TestFrontdoorBypassBillingSplit(t *testing.T) {
 	uncertified := core.NewPaperEngine(galaxy.App{})
 	uncertified.SetBilling(model.Billing(7))
@@ -456,15 +471,15 @@ func TestFrontdoorBypassBillingSplit(t *testing.T) {
 		t.Fatalf("serving.index.bypass_billing = %d, want 1", got)
 	}
 
-	off := newTestFrontdoor(t, Config{DisableIndex: true})
+	off := newScanOnlyFrontdoor(t, Config{})
 	if st, ok := off.IndexStatusFor("galaxy"); !ok || st.State != IndexBypassed || st.Cause != "config" {
-		t.Fatalf("opted-out status = %+v, want bypassed/config", st)
+		t.Fatalf("scan-only status = %+v, want bypassed/config", st)
 	}
 	if _, _, err := off.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", DeadlineHours: 24}, stub); err != nil {
 		t.Fatal(err)
 	}
 	if got := off.Metrics().Counter("serving.index.bypass_billing").Value(); got != 0 {
-		t.Fatalf("config opt-out counted as a billing bypass: %d", got)
+		t.Fatalf("scan-only engine counted as a billing bypass: %d", got)
 	}
 
 	// A per-hour engine is certified: it must NOT report a bypass at

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/ec2"
 	"repro/internal/faults"
 	"repro/internal/model"
@@ -208,7 +209,7 @@ func TestDeadlineProbabilityMonotoneProperty(t *testing.T) {
 func TestRecommendFromFrontier(t *testing.T) {
 	// The realistic workflow: take CELIA's Pareto frontier, then let
 	// the spot evaluator decide on-demand vs spot.
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	p := workload.Params{N: 65536, A: 8000}
 	deadline := units.FromHours(24)
 	an, err := eng.Analyze(p, core.Constraints{Deadline: deadline, Budget: 350}, core.Options{})
@@ -249,7 +250,7 @@ func TestRecommendNoCandidates(t *testing.T) {
 
 func TestRecommendImpossibleDeadline(t *testing.T) {
 	m := newMarket(t)
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	e := NewEvaluator(m, eng.Capacities())
 	d, _ := eng.Demand(workload.Params{N: 262144, A: 10000})
 	_, err := e.Recommend(d, []config.Tuple{config.MustTuple(1, 0, 0, 0, 0, 0, 0, 0, 0)},

@@ -80,6 +80,9 @@ func TestRebuiltEngineMatchesOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One query: the exhaustive scan answers it for less than an index
+	// build, with the same answer.
+	eng.SetUseIndex(false)
 	pred, ok, err := eng.MinCostForDeadline(workload.Params{N: 65536, A: 8000}, units.FromHours(36))
 	if err != nil || !ok {
 		t.Fatalf("rebuilt engine unusable: %v %v", ok, err)

@@ -77,7 +77,7 @@ func MinCostCurve(eng *core.Engine, fixed workload.Params, byN bool, varyName st
 		Values:    values,
 	}
 	res.App = eng.DemandModel().AppName
-	// Warm the frontier index (when the engine opted in) before the
+	// Warm the frontier index (unless the engine is scan-only) before the
 	// ladder: the build runs once and every (value × deadline) cell
 	// answers from the same precomputed pair table.
 	eng.IndexActive()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/apps/sand"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/demand"
 	"repro/internal/ec2"
 	"repro/internal/model"
@@ -21,7 +22,7 @@ func TestCensusFig4Galaxy(t *testing.T) {
 	// full 10,077,695-configuration space. The paper reports ~5.8M
 	// feasible configurations, a multi-point Pareto frontier, and a
 	// frontier cost span of ~1.3×.
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.PaperEngine(galaxy.App{})
 	res, err := Census(eng, workload.Params{N: 65536, A: 8000},
 		units.FromHours(24), 350, 0)
 	if err != nil {
@@ -47,7 +48,7 @@ func TestCensusFig4Galaxy(t *testing.T) {
 }
 
 func TestCensusFig4Sand(t *testing.T) {
-	eng := core.NewPaperEngine(sand.App{})
+	eng := coretest.PaperEngine(sand.App{})
 	res, err := Census(eng, workload.Params{N: 8192e6, A: 0.32},
 		units.FromHours(24), 350, 0)
 	if err != nil {
@@ -65,7 +66,7 @@ func TestCensusFig4Sand(t *testing.T) {
 func TestMinCostCurveGalaxyShape(t *testing.T) {
 	// Figure 5(a): min cost grows superlinearly (quadratic demand) in
 	// n at fixed deadline; relaxing the deadline never raises cost.
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.PaperEngine(galaxy.App{})
 	values := []float64{32768, 65536, 131072}
 	res, err := MinCostCurve(eng, workload.Params{A: 1000}, true, "n", values, []units.Hours{24, 72})
 	if err != nil {
@@ -91,7 +92,7 @@ func TestMinCostCurveGalaxyShape(t *testing.T) {
 
 func TestMinCostCurveSandLinear(t *testing.T) {
 	// Figure 5(b): sand's cost grows ~linearly with problem size.
-	eng := core.NewPaperEngine(sand.App{})
+	eng := coretest.PaperEngine(sand.App{})
 	values := []float64{1024e6, 2048e6, 4096e6}
 	res, err := MinCostCurve(eng, workload.Params{A: 0.32}, true, "n", values, []units.Hours{72})
 	if err != nil {
@@ -111,7 +112,7 @@ func TestFig6GalaxySpillAnnotations(t *testing.T) {
 	// Figure 6(a): along the 24 h accuracy sweep, configurations fill
 	// c4 first and spill into m4 at high s, with a gradient jump at
 	// the spill.
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.PaperEngine(galaxy.App{})
 	values := []float64{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000}
 	res, err := MinCostCurve(eng, workload.Params{N: 65536}, false, "s", values, []units.Hours{24})
 	if err != nil {
@@ -207,7 +208,7 @@ func TestGradientJumpsPlateauExit(t *testing.T) {
 func TestTighteningObs3Galaxy(t *testing.T) {
 	// Observation 3 (galaxy(262144, 1000)): tightening 72h → 24h (a
 	// 67% cut) raises cost by well under 67%; the paper reports ~40%.
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.PaperEngine(galaxy.App{})
 	res, err := Tightening(eng, workload.Params{N: 262144, A: 1000}, []units.Hours{24, 48, 72})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +227,7 @@ func TestTighteningObs3Galaxy(t *testing.T) {
 
 func TestTighteningObs3Sand(t *testing.T) {
 	// sand(8192M, 0.32): 48h → 24h (50% cut) costs ~+25% in the paper.
-	eng := core.NewPaperEngine(sand.App{})
+	eng := coretest.PaperEngine(sand.App{})
 	res, err := Tightening(eng, workload.Params{N: 8192e6, A: 0.32}, []units.Hours{24, 48})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +245,7 @@ func TestTighteningObs3Sand(t *testing.T) {
 func TestTighteningInfeasibleRungs(t *testing.T) {
 	// An absurd problem at tiny deadlines: rungs must be marked
 	// infeasible rather than invented.
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.PaperEngine(galaxy.App{})
 	res, err := Tightening(eng, workload.Params{N: 4194304, A: 100000}, []units.Hours{1, 1000000})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +259,7 @@ func TestCostDemandElasticityObs2(t *testing.T) {
 	// Observation 2: when the configuration spills into a new
 	// category, cost grows faster than demand (elasticity > 1
 	// somewhere along the curve).
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.PaperEngine(galaxy.App{})
 	values := []float64{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000}
 	fixed := workload.Params{N: 65536}
 	res, err := MinCostCurve(eng, fixed, false, "s", values, []units.Hours{24})
@@ -337,7 +338,7 @@ func TestTradeSurface3D(t *testing.T) {
 }
 
 func TestTradeSurfaceValidation(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.PaperEngine(galaxy.App{})
 	if _, err := TradeSurface(eng, 65536, nil, units.FromHours(24), 100); err == nil {
 		t.Fatal("empty rung list accepted")
 	}

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/apps/galaxy"
 	"repro/internal/config"
-	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/ec2"
 	"repro/internal/model"
 	"repro/internal/units"
@@ -136,7 +136,7 @@ func TestPredictTooFewSamples(t *testing.T) {
 }
 
 func TestRobustMinCost(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	a := newAnalyzer(t)
 	p := workload.Params{N: 65536, A: 8000}
 	deadline := units.FromHours(24)
@@ -163,7 +163,7 @@ func TestRobustMinCost(t *testing.T) {
 }
 
 func TestRobustMinCostBadConfidence(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := coretest.ScanEngine(galaxy.App{})
 	a := newAnalyzer(t)
 	if _, _, err := RobustMinCost(eng, a, workload.Params{N: 65536, A: 8000},
 		units.FromHours(24), 1.5); err == nil {
