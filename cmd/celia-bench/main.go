@@ -1,12 +1,20 @@
 // Command celia-bench measures the frontier-index speedup on the
 // paper's configuration space and emits a machine-readable summary,
-// so CI can archive per-commit numbers without asserting timings. Two
-// exceptions are hard gates: loading a persisted index must beat
-// rebuilding it by at least 20x, and the per-hour indexed Analyze must
-// beat the per-hour scan by at least 20x — the first guards the
-// startup path, the second guards the billing-aware routing (the
-// paper's own billing mode used to fall back to the full scan; a
-// regression there silently re-opens the ~350ms slow path).
+// so CI can archive per-commit numbers. A few ratios, each measured
+// within one run, are hard gates:
+//   - loading a persisted index must beat rebuilding it by at least
+//     20x (the startup path);
+//   - the per-hour indexed Analyze must beat the per-hour scan by at
+//     least 20x (the billing-aware routing: the paper's own billing
+//     mode used to fall back to the ~350ms scan);
+//   - the indexed Analyze must beat the scan by at least 300x and the
+//     indexed MinCost by at least 2000x (the block summaries that make
+//     the census and the min-cost tie pass sublinear in the spans; a
+//     regression to the per-span loops lands near 100x).
+//
+// Index queries take microseconds, so their rows run at least
+// cheapOps iterations whatever -benchtime says: one cold call must
+// not decide a gate.
 //
 // Example:
 //
@@ -31,6 +39,9 @@ import (
 	"repro/internal/units"
 	"repro/internal/workload"
 )
+
+// cheapOps is the least iteration count of an index-query row.
+const cheapOps = 200
 
 type benchRow struct {
 	Name    string  `json:"name"`
@@ -58,9 +69,9 @@ func main() {
 	scanEng.SetUseIndex(false)
 	idxEng := core.NewPaperEngine(galaxy.App{})
 
-	run := func(name string, fn func() error) benchRow {
+	runOps := func(name string, ops int, fn func() error) benchRow {
 		start := time.Now()
-		for i := 0; i < *iters; i++ {
+		for i := 0; i < ops; i++ {
 			if err := fn(); err != nil {
 				log.Fatalf("%s: %v", name, err)
 			}
@@ -68,10 +79,12 @@ func main() {
 		elapsed := time.Since(start)
 		return benchRow{
 			Name:    name,
-			NsPerOp: elapsed.Nanoseconds() / int64(*iters),
-			Ops:     *iters,
+			NsPerOp: elapsed.Nanoseconds() / int64(ops),
+			Ops:     ops,
 		}
 	}
+	run := func(name string, fn func() error) benchRow { return runOps(name, *iters, fn) }
+	runCheap := func(name string, fn func() error) benchRow { return runOps(name, max(*iters, cheapOps), fn) }
 
 	buildStart := time.Now()
 	if !idxEng.IndexActive() {
@@ -88,7 +101,7 @@ func main() {
 			_, err := scanEng.Analyze(p, cons, core.Options{})
 			return err
 		}),
-		run("AnalyzeIndexedPaper", func() error {
+		runCheap("AnalyzeIndexedPaper", func() error {
 			_, err := idxEng.Analyze(p, cons, core.Options{})
 			return err
 		}),
@@ -99,7 +112,7 @@ func main() {
 			}
 			return err
 		}),
-		run("MinCostIndexedPaper", func() error {
+		runCheap("MinCostIndexedPaper", func() error {
 			_, ok, err := idxEng.MinCostForDeadline(p, cons.Deadline)
 			if err == nil && !ok {
 				return fmt.Errorf("infeasible")
@@ -119,7 +132,7 @@ func main() {
 			_, err := scanEng.Analyze(p, cons, core.Options{})
 			return err
 		}),
-		run("AnalyzePerHourIndexedPaper", func() error {
+		runCheap("AnalyzePerHourIndexedPaper", func() error {
 			if !idxEng.IndexActive() {
 				return fmt.Errorf("index inactive under per-hour billing")
 			}
@@ -143,6 +156,26 @@ func main() {
 		log.Fatalf("per-hour indexed Analyze is only %.1fx faster than the scan; need >= 20x (the billing-aware index is the fix for the per-hour slow path)",
 			perHourIdx.Speedup)
 	}
+	for _, g := range []struct {
+		row  int
+		name string
+		min  float64
+	}{{1, "AnalyzeIndexedPaper", 300}, {3, "MinCostIndexedPaper", 2000}} {
+		if rows[g.row].Name != g.name {
+			log.Fatalf("row order broken: %s where %s expected", rows[g.row].Name, g.name)
+		}
+		if rows[g.row].Speedup < g.min {
+			log.Fatalf("%s is only %.0fx faster than the scan; need >= %.0fx (the block summaries keep the census and the min-cost tie pass off the per-span loop)",
+				g.name, rows[g.row].Speedup, g.min)
+		}
+	}
+	rows = append(rows, runCheap("MaxAccuracyIndexedPaper", func() error {
+		_, _, ok, err := idxEng.MaxAccuracy(p.N, cons, 1e-3)
+		if err == nil && !ok {
+			return fmt.Errorf("infeasible")
+		}
+		return err
+	}))
 
 	// The horizon-solver rung: a 1,000-step diurnal trace solved against
 	// the already-built staircase. Its speedup is measured against the

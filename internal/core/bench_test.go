@@ -14,7 +14,7 @@ import (
 // of magnitude faster than the exhaustive scan, at identical output.
 // Run the paper-space pair with
 //
-//	go test ./internal/core -bench 'Analyze|Frontier' -benchtime 1x
+//	go test ./internal/core -bench 'Analyze|MinCost|MaxAccuracy|Frontier' -benchtime 1x
 //
 // (CI's smoke invocation) or longer benchtimes for stable ratios.
 
@@ -111,6 +111,19 @@ func BenchmarkMinCostIndexedPaper(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := eng.indexFor().minSearch(eng, d, benchCons(), objectiveCost); !ok {
 			b.Fatal("infeasible")
+		}
+	}
+}
+
+func BenchmarkMaxAccuracyIndexedPaper(b *testing.B) {
+	eng := NewPaperEngine(galaxy.App{})
+	if !eng.IndexActive() {
+		b.Fatal("index did not build")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok, err := eng.MaxAccuracy(benchParams.N, benchCons(), 1e-3); err != nil || !ok {
+			b.Fatalf("MaxAccuracy: ok=%v err=%v", ok, err)
 		}
 	}
 }

@@ -513,21 +513,40 @@ func (e *Engine) MaxAccuracy(n float64, cons Constraints, tol float64) (workload
 }
 
 // MaxAccuracyContext is MaxAccuracy with cooperative cancellation. The
-// bisection runs up to ~20 sequential searches; on a scan-fallback
-// engine that is the single most expensive query the serving path can
-// receive, so each probe checks ctx and the whole bisection aborts as
-// soon as the context is done.
+// bisection runs up to ~20 sequential feasibility probes. On the index
+// path each probe is an early-exit staircase walk and the argmin runs
+// once, at the returned accuracy; on a scan-fallback engine each probe
+// is a full scan that keeps its prediction — the single most expensive
+// query the serving path can receive — so each probe checks ctx and
+// the whole bisection aborts as soon as the context is done.
 func (e *Engine) MaxAccuracyContext(ctx context.Context, n float64, cons Constraints, tol float64) (workload.Params, model.Prediction, bool, error) {
 	if tol <= 0 {
 		tol = 1e-3
 	}
 	lo, hi := e.domain.MinA, e.domain.MaxA
+	idx := e.indexFor()
 	check := func(a float64) (model.Prediction, bool, error) {
 		d, err := e.Demand(workload.Params{N: n, A: a})
 		if err != nil {
 			return model.Prediction{}, false, nil
 		}
-		return e.searchBestCtx(ctx, d, cons, objectiveCost)
+		if idx != nil {
+			return model.Prediction{}, idx.firstFeasibleStep(e, d, cons.deadlineOrInf(), cons.budgetOrInf()) >= 0, nil
+		}
+		return e.scanSearchCtx(ctx, d, cons, objectiveCost)
+	}
+	// answer returns the accuracy a that the bisection settled on with
+	// its min-cost prediction, computed once on the index path.
+	answer := func(a float64, pred model.Prediction) (workload.Params, model.Prediction, bool, error) {
+		p := workload.Params{N: n, A: a}
+		if idx != nil {
+			d, err := e.Demand(p)
+			if err != nil {
+				return workload.Params{}, model.Prediction{}, false, err
+			}
+			pred, _ = idx.minSearch(e, d, cons, objectiveCost)
+		}
+		return p, pred, true, nil
 	}
 	pred, ok, err := check(lo)
 	if err != nil {
@@ -539,7 +558,7 @@ func (e *Engine) MaxAccuracyContext(ctx context.Context, n float64, cons Constra
 	if p, ok, err := check(hi); err != nil {
 		return workload.Params{}, model.Prediction{}, false, err
 	} else if ok {
-		return workload.Params{N: n, A: hi}, p, true, nil
+		return answer(hi, p)
 	}
 	bestA := lo
 	for hi-lo > tol*math.Max(1, hi) {
@@ -554,7 +573,7 @@ func (e *Engine) MaxAccuracyContext(ctx context.Context, n float64, cons Constra
 			hi = mid
 		}
 	}
-	return workload.Params{N: n, A: bestA}, pred, true, nil
+	return answer(bestA, pred)
 }
 
 // NewPaperEngine assembles the paper's standard setup for an

@@ -29,7 +29,10 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,28 +88,31 @@ type stairStep struct {
 // FrontierIndex is the precomputed demand-invariant view of one
 // engine's configuration space. Build once with the engine's exact
 // per-configuration arithmetic, then answer any query under an
-// Indexable billing policy in O(|staircase| + spans·log) instead of
-// O(S) model evaluations. Immutable after construction; safe for
-// concurrent use.
+// Indexable billing policy in O(|staircase| + blocks·log + the spans
+// the block summaries leave undecided) instead of O(S) model
+// evaluations. Immutable after construction; safe for concurrent use.
 type FrontierIndex struct {
 	pairs []idxPair
 	spans []idxSpan
 	// prefix[i] is the configuration count of pairs[:i], so a
 	// cost-feasible prefix of a span counts in O(1) after the search.
 	prefix []uint64
-	// spanLess[i] is the lessTuple-minimal member of pairs[start..i]
-	// within i's span (running minimum, reset at each span start), and
-	// spanMinIdx[i] the minimal configuration index over the same
-	// prefix. Both resolve value ties, whose achievers are always a
-	// cost-ordered prefix of one or more capacity spans: distinct exact
-	// (U, c_u) pairs — typically ULP-apart accumulations of a
-	// mathematically identical configuration family — can round to
-	// bit-equal (time, cost) under a particular demand, and the scan
-	// breaks such ties by configuration order, so the index must
-	// aggregate over the whole rounding-collapse class, not just the
-	// staircase pair that represents it.
-	spanLess   []config.Tuple
-	spanMinIdx []uint64
+	// Per-block span summaries settle the census and the min-cost tie
+	// pass without visiting every span (see blockFeasible). The
+	// capacity-sorted spans form blocks of blockSpans; within block b
+	// the spans are re-sorted by their last (dearest) c_u, and sorted
+	// position i lives at offset b·blockSpans+i of the first three
+	// tables: the span's offset within the block, its last c_u, and the
+	// configuration count of positions [0, i]. blkMin holds, per block,
+	// an implicit binary min-tree of each span's first (cheapest) c_u
+	// over the same order: node n (1 ≤ n < blockSpans) at slot
+	// b·blockSpans+n, children 2n and 2n+1, leaves n ≥ blockSpans at
+	// sorted position n−blockSpans (not stored: a leaf runs the exact
+	// per-span search), padding past a short last block at +Inf.
+	blkOrd   []uint8
+	blkLast  []units.USDPerHour
+	blkCount []uint64
+	blkMin   []units.USDPerHour
 	// stair is the (capacity ↑, unit cost ↓) Pareto staircase in
 	// descending-capacity order.
 	stair     []stairStep
@@ -198,8 +204,8 @@ func lessTupleFast(a, b config.Tuple) bool {
 }
 
 // buildFrontierIndex scans the whole space once, aggregating exact
-// (U, c_u) pairs, and derives the span table, prefix counts, running
-// tie-break minima, and the staircase. Returns nil when the pair table
+// (U, c_u) pairs, and derives the span table, prefix counts, block
+// summaries, and the staircase. Returns nil when the pair table
 // exceeds maxIndexPairs (the catalog does not compress).
 func buildFrontierIndex(e *Engine) *FrontierIndex {
 	start := time.Now()
@@ -282,22 +288,19 @@ func buildFrontierIndex(e *Engine) *FrontierIndex {
 }
 
 // finishIndex derives every secondary table — spans, prefix counts,
-// running tie-break minima, and the staircase — from a (u asc, cu asc)-
-// sorted pair table. Shared by the scan build above and the snapshot
-// decoder (index_codec.go): both produce the derived state through this
-// one code path, so a decoded index is structurally identical to the
+// block summaries, and the staircase — from a (u asc, cu asc)-sorted
+// pair table. Shared by the scan build above and the snapshot decoder
+// (index_codec.go): both produce the derived state through this one
+// code path, so a decoded index is structurally identical to the
 // freshly built one it was encoded from.
 func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 	x := &FrontierIndex{pairs: pairs, total: total}
 
 	x.prefix = make([]uint64, len(x.pairs)+1)
-	x.spanLess = make([]config.Tuple, len(x.pairs))
-	x.spanMinIdx = make([]uint64, len(x.pairs))
 	// A cheap serial pass finds the span boundaries and prefix sums;
-	// the running-minima fill — the expensive part — then proceeds per
-	// span in parallel. Spans touch disjoint pair ranges, so the result
-	// does not depend on the worker count (property-tested in
-	// index_test.go).
+	// the block summaries then derive per block-aligned span range in
+	// parallel. Ranges touch disjoint blocks, so the result does not
+	// depend on the worker count (property-tested in index_test.go).
 	for i := 0; i < len(x.pairs); {
 		x.prefix[i+1] = x.prefix[i] + x.pairs[i].count
 		j := i + 1
@@ -308,11 +311,16 @@ func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 		x.spans = append(x.spans, idxSpan{u: x.pairs[i].u, start: i, end: j})
 		i = j
 	}
+	blocks := (len(x.spans) + blockSpans - 1) / blockSpans
+	x.blkOrd = make([]uint8, len(x.spans))
+	x.blkLast = make([]units.USDPerHour, len(x.spans))
+	x.blkCount = make([]uint64, len(x.spans))
+	x.blkMin = make([]units.USDPerHour, blocks*blockSpans)
 	workers := runtime.GOMAXPROCS(0)
 	if most := 1 + len(x.pairs)/parallelCodecMin; workers > most {
 		workers = most
 	}
-	chunk := (len(x.spans) + workers - 1) / workers
+	chunk := (blocks + workers - 1) / workers * blockSpans
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := w*chunk, min((w+1)*chunk, len(x.spans))
@@ -322,7 +330,9 @@ func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			x.fillSpanMinima(lo, hi)
+			for b := lo; b < hi; b += blockSpans {
+				x.fillBlock(b)
+			}
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -343,27 +353,232 @@ func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 	return x
 }
 
-// fillSpanMinima computes the running lessTuple / minimal-index minima
-// for every pair inside spans [lo, hi); spans touch disjoint pair
-// ranges, so concurrent calls over distinct span ranges never overlap.
-func (x *FrontierIndex) fillSpanMinima(lo, hi int) {
-	for si := lo; si < hi; si++ {
-		sp := x.spans[si]
-		run := x.pairs[sp.start].lessMin
-		runIdx := x.pairs[sp.start].minIdx
-		x.spanLess[sp.start] = run
-		x.spanMinIdx[sp.start] = runIdx
-		for k := sp.start + 1; k < sp.end; k++ {
-			if lessTupleFast(x.pairs[k].lessMin, run) {
-				run = x.pairs[k].lessMin
-			}
-			if x.pairs[k].minIdx < runIdx {
-				runIdx = x.pairs[k].minIdx
-			}
-			x.spanLess[k] = run
-			x.spanMinIdx[k] = runIdx
+// lessWithin returns the lessTuple-minimal member of span sp's n
+// cheapest pairs, and minIdxWithin their minimal configuration index.
+// Both resolve value ties, whose achievers are always a cost-ordered
+// prefix of one or more capacity spans: distinct exact (U, c_u) pairs
+// — typically ULP-apart accumulations of a mathematically identical
+// configuration family — can round to bit-equal (time, cost) under a
+// particular demand, and the scan breaks such ties by configuration
+// order, so the index must aggregate over the whole rounding-collapse
+// class, not just the staircase pair that represents it. Spans are
+// short (at most 23 pairs on the paper catalogs) and only tie classes
+// are aggregated, so the minima are taken on demand, not stored per
+// pair.
+func (x *FrontierIndex) lessWithin(sp idxSpan, n int) config.Tuple {
+	best := x.pairs[sp.start].lessMin
+	for _, pr := range x.pairs[sp.start+1 : sp.start+n] {
+		if lessTupleFast(pr.lessMin, best) {
+			best = pr.lessMin
 		}
 	}
+	return best
+}
+
+func (x *FrontierIndex) minIdxWithin(sp idxSpan, n int) uint64 {
+	best := x.pairs[sp.start].minIdx
+	for _, pr := range x.pairs[sp.start+1 : sp.start+n] {
+		best = min(best, pr.minIdx)
+	}
+	return best
+}
+
+// blockSpans is the number of capacity-consecutive spans one summary
+// block covers. A power of two, so each block's min-tree is a complete
+// implicit binary tree; 256 also lets a span's offset within its block
+// fit a byte. On the paper catalog a census leaves a few spans per
+// block undecided.
+const blockSpans = 256
+
+// fillBlock derives the summary of the block whose first span is
+// first: its spans ordered by last c_u (ties by offset, so the order is
+// total), their last c_u, running configuration counts, and the
+// min-tree of first c_u over that order.
+func (x *FrontierIndex) fillBlock(first int) {
+	m := min(blockSpans, len(x.spans)-first)
+	type keyed struct {
+		last, first units.USDPerHour
+		off         uint8
+	}
+	var buf [blockSpans]keyed
+	keys := buf[:m]
+	for i := range keys {
+		sp := x.spans[first+i]
+		keys[i] = keyed{x.pairs[sp.end-1].cu, x.pairs[sp.start].cu, uint8(i)}
+	}
+	slices.SortFunc(keys, func(a, b keyed) int {
+		switch {
+		case a.last < b.last:
+			return -1
+		case a.last > b.last:
+			return 1
+		}
+		return int(a.off) - int(b.off)
+	})
+	var run uint64
+	for i, k := range keys {
+		sp := x.spans[first+int(k.off)]
+		run += x.prefix[sp.end] - x.prefix[sp.start]
+		x.blkOrd[first+i] = k.off
+		x.blkLast[first+i] = k.last
+		x.blkCount[first+i] = run
+	}
+	firstCu := func(pos int) units.USDPerHour {
+		if pos >= m {
+			return units.USDPerHour(math.Inf(1))
+		}
+		return keys[pos].first
+	}
+	tree := x.blkMin[first : first+blockSpans]
+	for n := blockSpans / 2; n < blockSpans; n++ {
+		tree[n] = min(firstCu(2*n-blockSpans), firstCu(2*n+1-blockSpans))
+	}
+	for n := blockSpans/2 - 1; n >= 1; n-- {
+		tree[n] = min(tree[2*n], tree[2*n+1])
+	}
+}
+
+// descend walks the min-tree of the block whose first span is first,
+// calling leaf with the span index of every sorted position ≥ from
+// that no ancestor prunes. prune receives a subtree's cheapest first
+// c_u and must only reject a subtree when it rejects every span whose
+// first c_u is at least that — the callers' tests are monotone in c_u
+// because billCost is (model.Billing.Indexable). A subtree straddling
+// from is tested on its whole minimum, a lower bound of the part at or
+// after from, so pruning it stays exact.
+func (x *FrontierIndex) descend(first, from int, prune func(units.USDPerHour) bool, leaf func(si int)) {
+	m := min(blockSpans, len(x.spans)-first)
+	tree := x.blkMin[first : first+blockSpans]
+	n := 1
+	for {
+		depth := bits.Len(uint(n)) - 1
+		width := blockSpans >> depth
+		pos := (n - 1<<depth) * width
+		if pos+width > from && pos < m {
+			if n >= blockSpans {
+				leaf(first + int(x.blkOrd[first+pos]))
+			} else if !prune(tree[n]) {
+				n *= 2
+				continue
+			}
+		}
+		// Next subtree in pre-order: climb past right children, then
+		// step to the right sibling; climbing past the root ends it.
+		for n&1 == 1 {
+			n >>= 1
+		}
+		if n == 0 {
+			return
+		}
+		n++
+	}
+}
+
+// firstFeasibleSpan returns the first span whose predicted time beats
+// the deadline. Predicted time is non-increasing in capacity (IEEE
+// division is monotone), so the time-feasible spans are the suffix of
+// the capacity-sorted span table from it.
+func (x *FrontierIndex) firstFeasibleSpan(d units.Instructions, deadline units.Seconds) int {
+	return sort.Search(len(x.spans), func(i int) bool {
+		return units.Time(d, x.spans[i].u) < deadline
+	})
+}
+
+// headEnd returns the end of the partial block starting at span lo:
+// spans before the next block boundary share a block with
+// time-infeasible ones, whose summary does not apply, so they are
+// answered per span.
+func (x *FrontierIndex) headEnd(lo int) int {
+	return min((lo+blockSpans-1)/blockSpans*blockSpans, len(x.spans))
+}
+
+// spanFeasible counts span si's configurations priced under budget at
+// its time T: cost is non-decreasing in c_u within a span, so they are
+// a cost-ordered prefix found by one search.
+func (x *FrontierIndex) spanFeasible(e *Engine, d units.Instructions, si int, budget units.USD) uint64 {
+	sp := x.spans[si]
+	T := units.Time(d, sp.u)
+	b := sort.Search(sp.end-sp.start, func(i int) bool {
+		return e.billCost(T, x.pairs[sp.start+i].cu) >= budget
+	})
+	return x.prefix[sp.start+b] - x.prefix[sp.start]
+}
+
+// blockFeasible counts the budget-feasible configurations of the block
+// whose first span is first, every span of which is time-feasible.
+// Inside the block T_hi = T(first span) ≥ T(s) ≥ T_lo = T(last span),
+// and billCost is jointly monotone as computed
+// (model.Billing.Indexable), so with no padding:
+//   - billCost(T_hi, last c_u of s) < budget: every pair of s is feasible;
+//   - billCost(T_lo, first c_u of s) ≥ budget: no pair of s is.
+//
+// The first test holds on a prefix of the last-c_u order, counted in
+// one search; the second prunes the min-tree over the rest, and only
+// the spans it cannot settle run the exact per-span search.
+func (x *FrontierIndex) blockFeasible(e *Engine, d units.Instructions, first int, budget units.USD) uint64 {
+	m := min(blockSpans, len(x.spans)-first)
+	tHi := units.Time(d, x.spans[first].u)
+	tLo := units.Time(d, x.spans[first+m-1].u)
+	last := x.blkLast[first : first+m]
+	k := sort.Search(m, func(i int) bool { return e.billCost(tHi, last[i]) >= budget })
+	var n uint64
+	if k > 0 {
+		n = x.blkCount[first+k-1]
+	}
+	x.descend(first, k,
+		func(cu units.USDPerHour) bool { return e.billCost(tLo, cu) >= budget },
+		func(si int) { n += x.spanFeasible(e, d, si, budget) })
+	return n
+}
+
+// feasibleCount is the census's exact feasible count: the per-span
+// search over the partial head block, then one summary walk per block.
+func (x *FrontierIndex) feasibleCount(e *Engine, d units.Instructions, deadline units.Seconds, budget units.USD) uint64 {
+	lo := x.firstFeasibleSpan(d, deadline)
+	head := x.headEnd(lo)
+	var feasible uint64
+	for si := lo; si < head; si++ {
+		feasible += x.spanFeasible(e, d, si, budget)
+	}
+	for first := head; first < len(x.spans); first += blockSpans {
+		feasible += x.blockFeasible(e, d, first, budget)
+	}
+	return feasible
+}
+
+// minCostTie gathers the lessTuple-minimal configuration costing
+// exactly bestC, the minimal cost over time-feasible pairs, from every
+// time-feasible span: no such pair costs less, so the achievers are
+// each span's cost-ordered prefix at bestC. Per block, a subtree whose
+// cheapest first c_u already costs more than bestC at T_lo costs more
+// at every member's own time, so the min-tree prunes all but the spans
+// that can hold an achiever.
+func (x *FrontierIndex) minCostTie(e *Engine, d units.Instructions, deadline units.Seconds, bestC units.USD) config.Tuple {
+	var best config.Tuple
+	have := false
+	consider := func(si int) {
+		sp := x.spans[si]
+		T := units.Time(d, sp.u)
+		ub := sort.Search(sp.end-sp.start, func(i int) bool {
+			return e.billCost(T, x.pairs[sp.start+i].cu) > bestC
+		})
+		if ub == 0 {
+			return
+		}
+		if cand := x.lessWithin(sp, ub); !have || lessTupleFast(cand, best) {
+			best, have = cand, true
+		}
+	}
+	lo := x.firstFeasibleSpan(d, deadline)
+	head := x.headEnd(lo)
+	for si := lo; si < head; si++ {
+		consider(si)
+	}
+	for first := head; first < len(x.spans); first += blockSpans {
+		tLo := units.Time(d, x.spans[min(first+blockSpans, len(x.spans))-1].u)
+		x.descend(first, 0, func(cu units.USDPerHour) bool { return e.billCost(tLo, cu) > bestC }, consider)
+	}
+	return best
 }
 
 // spanRange returns the half-open range of span indices whose exact
@@ -387,24 +602,7 @@ func (x *FrontierIndex) spanRange(d units.Instructions, T units.Seconds) (lo, hi
 // the same float operations and the same insertion order as the scan.
 func (x *FrontierIndex) census(e *Engine, d units.Instructions, cons Constraints) (uint64, []pareto.Point) {
 	deadline, budget := cons.deadlineOrInf(), cons.budgetOrInf()
-
-	// Predicted time is non-increasing in capacity (IEEE division is
-	// monotone), so the time-feasible spans are a suffix of the
-	// capacity-sorted span table; within a span cost is non-decreasing
-	// in c_u, so the budget-feasible pairs are a prefix of the span.
-	lo := sort.Search(len(x.spans), func(i int) bool {
-		return units.Time(d, x.spans[i].u) < deadline
-	})
-	var feasible uint64
-	for si := lo; si < len(x.spans); si++ {
-		sp := x.spans[si]
-		T := units.Time(d, sp.u)
-		n := sp.end - sp.start
-		b := sort.Search(n, func(i int) bool {
-			return e.billCost(T, x.pairs[sp.start+i].cu) >= budget
-		})
-		feasible += x.prefix[sp.start+b] - x.prefix[sp.start]
-	}
+	feasible := x.feasibleCount(e, d, deadline, budget)
 
 	// The staircase is a superset of every per-query frontier's
 	// (time, cost) values (see the package comment's monotonicity
@@ -430,8 +628,8 @@ func (x *FrontierIndex) census(e *Engine, d units.Instructions, cons Constraints
 	// every span predicting exactly T, restricted to the pairs costing
 	// exactly C. Those pairs are a prefix of each such span (cost is
 	// non-decreasing in c_u, and a cheaper pair in an equal-T span would
-	// have knocked the point off the frontier), so the precomputed
-	// prefix minima answer each span in one search.
+	// have knocked the point off the frontier), found by one search per
+	// span.
 	for fi := range front {
 		T, C := units.Seconds(front[fi].X), units.USD(front[fi].Y)
 		lo, hi := x.spanRange(d, T)
@@ -441,8 +639,8 @@ func (x *FrontierIndex) census(e *Engine, d units.Instructions, cons Constraints
 			ub := sort.Search(sp.end-sp.start, func(i int) bool {
 				return e.billCost(T, x.pairs[sp.start+i].cu) > C
 			})
-			if ub > 0 && x.spanMinIdx[sp.start+ub-1] < best {
-				best = x.spanMinIdx[sp.start+ub-1]
+			if ub > 0 {
+				best = min(best, x.minIdxWithin(sp, ub))
 			}
 		}
 		front[fi].ID = best
@@ -455,84 +653,64 @@ func (x *FrontierIndex) census(e *Engine, d units.Instructions, cons Constraints
 // broken by the lexicographically least tuple.
 func (x *FrontierIndex) minSearch(e *Engine, d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool) {
 	deadline, budget := cons.deadlineOrInf(), cons.budgetOrInf()
+	first := x.firstFeasibleStep(e, d, deadline, budget)
+	if first < 0 {
+		return model.Prediction{}, false
+	}
 	if obj == objectiveTime {
-		// Minimal time = maximal capacity: walk the staircase from the
-		// top. The first feasible step carries the optimal time — any
-		// skipped pair with more capacity is dominated by an already-
-		// rejected step whose time and cost it can only match or
-		// exceed. The scan breaks time ties by the lexicographically
-		// least tuple over every feasible achiever, so the winner is
-		// gathered from the budget-feasible prefix of every span that
-		// predicts exactly the winning time (the collapse class), not
-		// just the step's own span.
-		for _, st := range x.stair {
-			pr := &x.pairs[st.pairIdx]
-			T := units.Time(d, pr.u)
-			C := e.billCost(T, pr.cu)
-			if T >= deadline || C >= budget {
+		// Minimal time = maximal capacity: the first feasible step from
+		// the top carries the optimal time — any skipped pair with more
+		// capacity is dominated by an already-rejected step whose time
+		// and cost it can only match or exceed. The scan breaks time ties
+		// by the lexicographically least tuple over every feasible
+		// achiever, so the winner is gathered from the budget-feasible
+		// prefix of every span that predicts exactly the winning time
+		// (the collapse class), not just the step's own span.
+		T := units.Time(d, x.pairs[x.stair[first].pairIdx].u)
+		lo, hi := x.spanRange(d, T)
+		var bestTuple config.Tuple
+		have := false
+		for si := lo; si < hi; si++ {
+			sp := x.spans[si]
+			b := sort.Search(sp.end-sp.start, func(i int) bool {
+				return e.billCost(T, x.pairs[sp.start+i].cu) >= budget
+			})
+			if b == 0 {
 				continue
 			}
-			lo, hi := x.spanRange(d, T)
-			var bestTuple config.Tuple
-			have := false
-			for si := lo; si < hi; si++ {
-				sp := x.spans[si]
-				b := sort.Search(sp.end-sp.start, func(i int) bool {
-					return e.billCost(T, x.pairs[sp.start+i].cu) >= budget
-				})
-				if b == 0 {
-					continue
-				}
-				if cand := x.spanLess[sp.start+b-1]; !have || lessTupleFast(cand, bestTuple) {
-					bestTuple, have = cand, true
-				}
+			if cand := x.lessWithin(sp, b); !have || lessTupleFast(cand, bestTuple) {
+				bestTuple, have = cand, true
 			}
-			return e.caps.PredictBilled(d, bestTuple, e.billing), true
 		}
-		return model.Prediction{}, false
+		return e.caps.PredictBilled(d, bestTuple, e.billing), true
 	}
 	// Minimal cost: the staircase holds the optimal value — every
 	// time-feasible pair is weakly dominated by a time-feasible step
 	// costing no more — but the scan's tie-break runs over every
-	// achiever, so a second pass gathers the lexicographically least
-	// tuple from the exact-cost prefix of every time-feasible span
-	// (no time-feasible pair costs less than the optimum, so the
-	// achievers are exactly each span's cost-ordered prefix at it).
-	bestC := units.USD(0)
-	found := false
-	for _, st := range x.stair {
+	// achiever, which minCostTie gathers from the spans.
+	bestC := units.USD(math.Inf(1))
+	for _, st := range x.stair[first:] {
 		pr := &x.pairs[st.pairIdx]
 		T := units.Time(d, pr.u)
-		C := e.billCost(T, pr.cu)
-		if T >= deadline || C >= budget {
-			continue
-		}
-		if !found || C < bestC {
-			bestC, found = C, true
+		if C := e.billCost(T, pr.cu); T < deadline && C < budget && C < bestC {
+			bestC = C
 		}
 	}
-	if !found {
-		return model.Prediction{}, false
-	}
-	lo := sort.Search(len(x.spans), func(i int) bool {
-		return units.Time(d, x.spans[i].u) < deadline
-	})
-	var bestTuple config.Tuple
-	have := false
-	for si := lo; si < len(x.spans); si++ {
-		sp := x.spans[si]
-		T := units.Time(d, sp.u)
-		ub := sort.Search(sp.end-sp.start, func(i int) bool {
-			return e.billCost(T, x.pairs[sp.start+i].cu) > bestC
-		})
-		if ub == 0 {
-			continue
-		}
-		if cand := x.spanLess[sp.start+ub-1]; !have || lessTupleFast(cand, bestTuple) {
-			bestTuple, have = cand, true
+	return e.caps.PredictBilled(d, x.minCostTie(e, d, deadline, bestC), e.billing), true
+}
+
+// firstFeasibleStep returns the position of the first staircase step,
+// from the top, whose pair meets both constraints, or -1 when none
+// does. Every feasible pair is weakly dominated by such a step, so it
+// also decides whether the query is feasible at all.
+func (x *FrontierIndex) firstFeasibleStep(e *Engine, d units.Instructions, deadline units.Seconds, budget units.USD) int {
+	for i, st := range x.stair {
+		pr := &x.pairs[st.pairIdx]
+		if T := units.Time(d, pr.u); T < deadline && e.billCost(T, pr.cu) < budget {
+			return i
 		}
 	}
-	return e.caps.PredictBilled(d, bestTuple, e.billing), true
+	return -1
 }
 
 // Candidate is one staircase step of the demand-invariant frontier:

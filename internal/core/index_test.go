@@ -551,12 +551,12 @@ func TestIndexBypassReason(t *testing.T) {
 }
 
 // TestParallelDerivationMatchesSerial pins decode/derive to its worker
-// count: the single-worker parse + span fill and the multi-core
-// chunked parse + parallel span fill must produce identical indexes.
+// count: the single-worker parse + block fill and the multi-core
+// chunked parse + parallel block fill must produce identical indexes.
 // GOMAXPROCS is toggled explicitly so both paths run regardless of the
 // host's core count, over a synthetic pair table big enough
 // (> parallelCodecMin) to clear the parallel gate, with multi-pair
-// spans so the running minima actually accumulate.
+// spans in dozens of summary blocks.
 func TestParallelDerivationMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	const n = 40000
